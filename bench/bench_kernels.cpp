@@ -2,14 +2,19 @@
 // conv2d, ToF correction, PE dot products, fixed-point quantization.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <vector>
+
 #include "accel/pe.hpp"
 #include "common/rng.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/hilbert.hpp"
 #include "kernels/conv.hpp"
 #include "kernels/gemm.hpp"
+#include "kernels/quantize.hpp"
 #include "nn/modules.hpp"
 #include "quant/fixed_point.hpp"
+#include "quant/scheme.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "us/phantom.hpp"
 #include "us/simulator.hpp"
@@ -90,6 +95,53 @@ void BM_GemmReferenceSingle(benchmark::State& state) {
       benchmark::Counter::kIs1000);
 }
 BENCHMARK(BM_GemmReferenceSingle)->Arg(128)->Arg(256);
+
+// Fake quantisation of 1 M elements to the Hybrid-2 op format: the vector
+// kernel against a quantize_value loop (its scalar definition). The input is
+// restored outside the timed region, so both lanes time only the quantiser.
+constexpr std::int64_t kQuantizeElems = std::int64_t{1} << 20;
+
+std::vector<float> quantize_bench_input() {
+  Rng rng(32);
+  std::vector<float> x(static_cast<std::size_t>(kQuantizeElems));
+  for (auto& v : x) v = static_cast<float>(4.0 * rng.normal());
+  return x;
+}
+
+void BM_QuantizeReference(benchmark::State& state) {
+  const std::vector<float> in = quantize_bench_input();
+  std::vector<float> x = in;
+  const quant::FixedFormat fmt = quant::QuantScheme::hybrid2().op_format();
+  for (auto _ : state) {
+    state.PauseTiming();
+    x = in;
+    state.ResumeTiming();
+    for (auto& v : x) v = quant::quantize_value(v, fmt);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kQuantizeElems);
+}
+BENCHMARK(BM_QuantizeReference)->Unit(benchmark::kMillisecond);
+
+void BM_QuantizeKernel(benchmark::State& state) {
+  const std::vector<float> in = quantize_bench_input();
+  std::vector<float> x = in;
+  const quant::FixedFormat fmt = quant::QuantScheme::hybrid2().op_format();
+  const double lo = -std::ldexp(1.0, fmt.bits - 1);
+  const double hi = std::ldexp(1.0, fmt.bits - 1) - 1.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    x = in;
+    state.ResumeTiming();
+    kernels::quantize_fixed_inplace(x.data(), kQuantizeElems, fmt.frac_bits,
+                                    lo, hi);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kQuantizeElems);
+}
+BENCHMARK(BM_QuantizeKernel)->Unit(benchmark::kMillisecond);
 
 kernels::Conv2dShape conv_bench_shape() {
   return {.H = 96, .W = 64, .Ci = 32, .kh = 3, .kw = 3, .Co = 8};

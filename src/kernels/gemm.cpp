@@ -307,6 +307,14 @@ void gemm_nt_rows(const float* a, const float* b, float* c, std::int64_t m,
   }
 }
 
+bool gemm_uses_avx2() {
+#ifdef __AVX2__
+  return true;
+#else
+  return false;
+#endif
+}
+
 void gemm_tn_panel(const float* a, const float* b, float* c, std::int64_t m,
                    std::int64_t k, std::int64_t n, std::int64_t p_begin,
                    std::int64_t p_end) {

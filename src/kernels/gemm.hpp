@@ -17,6 +17,13 @@
 
 namespace tvbf::kernels {
 
+/// True when this build's kernels/ TUs use AVX2+FMA vectors
+/// (TVBF_KERNEL_SIMD on a supporting compiler). The vector width sets the
+/// summation order of some blocked GEMM paths, so float outputs differ in
+/// the last bits between the AVX2 and portable builds; golden output hashes
+/// are recorded per build.
+bool gemm_uses_avx2();
+
 // ---- C = A.B ---------------------------------------------------------------
 
 /// Serial blocked kernel for output rows [row_begin, row_end):

@@ -4,9 +4,27 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
+#include "kernels/quantize.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace tvbf::quant {
+namespace {
+
+// Integer code range of a format, as doubles (exact up to 53 bits; wider
+// formats round the same way everywhere these are used).
+double code_lo(const FixedFormat& fmt) {
+  return -std::ldexp(1.0, fmt.bits - 1);
+}
+double code_hi(const FixedFormat& fmt) {
+  return std::ldexp(1.0, fmt.bits - 1) - 1.0;
+}
+
+// Elements per quantise task: ~13 us of kernel work, well above the pool's
+// dispatch cost, so small tensors stay on the calling thread.
+constexpr std::size_t kQuantizeGrain = std::size_t{1} << 14;
+
+}  // namespace
 
 void FixedFormat::validate() const {
   TVBF_REQUIRE(bits >= 2 && bits <= 63, "fixed-point width must be in [2, 63]");
@@ -28,15 +46,22 @@ float quantize_value(float v, const FixedFormat& fmt) {
   if (!std::isfinite(v)) return v > 0 ? static_cast<float>(fmt.max_value())
                                       : static_cast<float>(fmt.min_value());
   const double scaled = std::nearbyint(static_cast<double>(v) / fmt.step());
-  const double lo = -std::ldexp(1.0, fmt.bits - 1);
-  const double hi = std::ldexp(1.0, fmt.bits - 1) - 1.0;
-  const double clamped = std::clamp(scaled, lo, hi);
+  const double clamped = std::clamp(scaled, code_lo(fmt), code_hi(fmt));
   return static_cast<float>(clamped * fmt.step());
 }
 
 void quantize_tensor_inplace(Tensor& t, const FixedFormat& fmt) {
   fmt.validate();
-  for (auto& v : t.data()) v = quantize_value(v, fmt);
+  float* data = t.raw();
+  const double lo = code_lo(fmt), hi = code_hi(fmt);
+  parallel_for(
+      0, static_cast<std::size_t>(t.size()),
+      [&](std::size_t b, std::size_t e) {
+        kernels::quantize_fixed_inplace(data + b,
+                                        static_cast<std::int64_t>(e - b),
+                                        fmt.frac_bits, lo, hi);
+      },
+      kQuantizeGrain);
 }
 
 Tensor quantized(const Tensor& t, const FixedFormat& fmt) {
@@ -88,7 +113,15 @@ void quantize_weights_per_channel_inplace(Tensor& w, int bits) {
 
 Fixed::Fixed(float v, FixedFormat fmt) : fmt_(fmt) {
   fmt_.validate();
-  const double scaled = std::nearbyint(static_cast<double>(v) / fmt.step());
+  // Saturate in double before the integer conversion (casting an
+  // out-of-range double to int64 is undefined), with quantize_value's
+  // non-finite rule: +inf to max, -inf and NaN to min.
+  const double lo = code_lo(fmt), hi = code_hi(fmt);
+  const double scaled =
+      std::isnan(v) ? lo
+                    : std::clamp(std::nearbyint(static_cast<double>(v) /
+                                                fmt.step()),
+                                 lo, hi);
   raw_ = saturate(static_cast<std::int64_t>(scaled), fmt.bits);
 }
 

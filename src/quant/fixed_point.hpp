@@ -4,12 +4,17 @@
 // with per-component bit-widths (Table III). Two representations are
 // provided:
 //  * FixedFormat + quantize_value: "fake quantization" — float values
-//    snapped to the representable grid with round-to-nearest and
-//    saturation. The quantized inference kernels use this (it is bit-exact
-//    with integer arithmetic whose products are rounded back to the same
-//    format, which unit tests verify).
+//    snapped to the representable grid with round-to-nearest-even and
+//    saturation (+inf to max, -inf and NaN to min). quantize_value is the
+//    scalar definition; the tensor path (quantize_tensor_inplace) runs the
+//    vector kernel in kernels/quantize.hpp, threaded over the pool and
+//    bit-identical to quantize_value element by element. The quantized
+//    inference kernels use the tensor path (it is bit-exact with integer
+//    arithmetic whose products are rounded back to the same format, which
+//    unit tests verify).
 //  * Fixed: an actual integer-backed value type used by those tests and by
-//    the accelerator's PE model.
+//    the accelerator's PE model. Constructing one saturates exactly as
+//    quantize_value does, so Fixed(v, f).to_float() == quantize_value(v, f).
 #pragma once
 
 #include <cstdint>
@@ -37,7 +42,8 @@ struct FixedFormat {
 /// Rounds to the nearest representable value, saturating at the range ends.
 float quantize_value(float v, const FixedFormat& fmt);
 
-/// Quantizes every element in place.
+/// Quantizes every element in place: quantize_value per element, through
+/// the vector kernel, threaded over the pool for large tensors.
 void quantize_tensor_inplace(Tensor& t, const FixedFormat& fmt);
 
 /// Quantized copy.

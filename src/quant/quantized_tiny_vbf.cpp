@@ -3,11 +3,17 @@
 #include <cmath>
 #include <utility>
 
+#include "common/parallel.hpp"
 #include "models/neural_beamformer.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace tvbf::quant {
 namespace {
+
+// Rows per task for the row-parallel layer norm and softmax: each row is
+// independent and ~d_model wide, so a few hundred rows per task amortize
+// dispatch while a paper-scale frame (~12k rows) still spreads over the pool.
+constexpr std::size_t kRowGrain = 256;
 
 Tensor maybe_quant_weights(const Tensor& w, const QuantScheme& s) {
   if (s.is_float) return w;
@@ -80,11 +86,11 @@ Tensor QuantizedTinyVbf::layer_norm(const Tensor& x, const Tensor& gamma,
   // non-linear ops — division, sqrt — in a dedicated wide unit); the
   // normalized output is rounded to the op width.
   const std::int64_t w = x.shape().back();
-  const std::int64_t rows = x.size() / w;
+  const auto rows = static_cast<std::size_t>(x.size() / w);
   Tensor out(x.shape());
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* xr = x.raw() + r * w;
-    float* yr = out.raw() + r * w;
+  parallel_for_each(0, rows, [&](std::size_t r) {
+    const float* xr = x.raw() + static_cast<std::int64_t>(r) * w;
+    float* yr = out.raw() + static_cast<std::int64_t>(r) * w;
     double mu = 0.0;
     for (std::int64_t j = 0; j < w; ++j) mu += xr[j];
     mu /= static_cast<double>(w);
@@ -98,17 +104,17 @@ Tensor QuantizedTinyVbf::layer_norm(const Tensor& x, const Tensor& gamma,
     for (std::int64_t j = 0; j < w; ++j)
       yr[j] = static_cast<float>(
           gamma.raw()[j] * (xr[j] - mu) * istd + beta.raw()[j]);
-  }
+  }, kRowGrain);
   return q_op(std::move(out));
 }
 
 Tensor QuantizedTinyVbf::softmax_last(const Tensor& x) const {
   const std::int64_t w = x.shape().back();
-  const std::int64_t rows = x.size() / w;
+  const auto rows = static_cast<std::size_t>(x.size() / w);
   Tensor out(x.shape());
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* xr = x.raw() + r * w;
-    float* yr = out.raw() + r * w;
+  parallel_for_each(0, rows, [&](std::size_t r) {
+    const float* xr = x.raw() + static_cast<std::int64_t>(r) * w;
+    float* yr = out.raw() + static_cast<std::int64_t>(r) * w;
     float m = xr[0];
     for (std::int64_t j = 1; j < w; ++j) m = std::max(m, xr[j]);
     double denom = 0.0;
@@ -118,7 +124,7 @@ Tensor QuantizedTinyVbf::softmax_last(const Tensor& x) const {
     }
     const auto inv = static_cast<float>(1.0 / denom);
     for (std::int64_t j = 0; j < w; ++j) yr[j] *= inv;
-  }
+  }, kRowGrain);
   if (!scheme_.is_float)
     quantize_tensor_inplace(out, scheme_.softmax_format());
   return out;
@@ -155,6 +161,10 @@ Tensor QuantizedTinyVbf::attention(const Tensor& x, const BlockW& blk) const {
 }
 
 Tensor QuantizedTinyVbf::infer(const Tensor& input) const {
+  return infer(Tensor(input));
+}
+
+Tensor QuantizedTinyVbf::infer(Tensor&& input) const {
   const auto& s = input.shape();
   TVBF_REQUIRE(s.size() == 3 && s[1] == config_.num_lateral &&
                    s[2] == config_.in_channels,
@@ -167,7 +177,7 @@ Tensor QuantizedTinyVbf::infer(const Tensor& input) const {
   const std::int64_t d = config_.d_model;
 
   // Input samples arrive through the same ADC-width path as intermediates.
-  Tensor h = q_inter(input);
+  Tensor h = q_inter(std::move(input));
   h.reshape({nz, np, config_.patch_size * config_.in_channels});
   h = q_inter(dense(h, embed_));
   {  // positional embedding

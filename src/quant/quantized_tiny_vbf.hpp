@@ -27,6 +27,9 @@ class QuantizedTinyVbf {
 
   /// Fixed-point forward pass: (nz, nx, nch) -> IQ (nz, nx, 2).
   Tensor infer(const Tensor& input) const;
+  /// Same pass consuming its input: the frame-sized input buffer is
+  /// quantised in place instead of copied first.
+  Tensor infer(Tensor&& input) const;
 
   /// Batch-of-frames fixed-point inference: stacks the per-frame inputs
   /// along the depth axis, runs one pass through the quantized datapath and

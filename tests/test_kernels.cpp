@@ -2,16 +2,23 @@
 // GEMM and conv2d kernels must match the preserved naive `*_reference`
 // implementations across odd shapes — non-multiple-of-tile sizes, single
 // channels, 1x1 and 5x5 kernels — and the parallelized backward kernels
-// must agree with both the serial references and finite differences.
+// must agree with both the serial references and finite differences. The
+// fixed-point quantise kernel must match quant::quantize_value bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <tuple>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "kernels/conv.hpp"
 #include "kernels/gemm.hpp"
+#include "kernels/quantize.hpp"
+#include "quant/fixed_point.hpp"
+#include "quant/scheme.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace tvbf::kernels {
@@ -252,6 +259,150 @@ TEST(ConvGradients, BackwardKernelsMatchFiniteDifferences) {
     EXPECT_NEAR(gx.raw()[i], (up - down) / (2.0 * eps), 2e-2)
         << "input grad " << i;
   }
+}
+
+// ---- Fixed-point quantise ---------------------------------------------------
+
+void quantize_with_kernel(float* x, std::int64_t n,
+                          const quant::FixedFormat& f) {
+  quantize_fixed_inplace(x, n, f.frac_bits, -std::ldexp(1.0, f.bits - 1),
+                         std::ldexp(1.0, f.bits - 1) - 1.0);
+}
+
+/// Inputs that stress every branch of quantize_value for format f: exact
+/// ties at +-(k + 1/2) steps near zero and at both range ends, signed zeros,
+/// non-finite values, huge values, subnormals, one step past each range
+/// end, and random values inside and beyond the range.
+std::vector<float> quantize_probes(const quant::FixedFormat& f, Rng& rng) {
+  using lim = std::numeric_limits<float>;
+  std::vector<float> v = {0.0f,         -0.0f,           lim::infinity(),
+                          -lim::infinity(), lim::quiet_NaN(), -lim::quiet_NaN(),
+                          1e30f,        -1e30f,          lim::denorm_min(),
+                          -lim::denorm_min(), lim::min() / 4, -lim::min() / 4,
+                          lim::min(),   -lim::min(),     lim::max(),
+                          lim::lowest()};
+  const double step = f.step();
+  const double top = std::ldexp(1.0, f.bits - 1);
+  auto push_exact = [&](double x) {
+    if (static_cast<double>(static_cast<float>(x)) == x)
+      v.push_back(static_cast<float>(x));
+  };
+  for (double k = 0; k < 8; ++k) {
+    push_exact((k + 0.5) * step);
+    push_exact(-(k + 0.5) * step);
+  }
+  for (double k = top - 4; k < top + 2; ++k) {
+    push_exact((k + 0.5) * step);
+    push_exact(-(k + 0.5) * step);
+  }
+  for (double x : {f.max_value(), f.min_value(), f.max_value() + step,
+                   f.min_value() - step})
+    v.push_back(static_cast<float>(x));
+  for (int i = 0; i < 64; ++i)
+    v.push_back(static_cast<float>(
+        rng.uniform(1.25 * f.min_value(), 1.25 * f.max_value())));
+  for (int i = 0; i < 16; ++i)
+    v.push_back(static_cast<float>(rng.uniform(-2.0 * step, 2.0 * step)));
+  return v;
+}
+
+/// Bitwise comparison (float == would equate -0.0 with 0.0 and fail NaN).
+void expect_same_bits(const std::vector<float>& got,
+                      const std::vector<float>& want,
+                      const std::vector<float>& in, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    if (std::memcmp(&got[i], &want[i], sizeof(float)) != 0) {
+      ADD_FAILURE() << what << ": element " << i << " input " << in[i]
+                    << " kernel " << got[i] << " quantize_value " << want[i];
+      return;
+    }
+}
+
+std::vector<float> quantize_value_all(const std::vector<float>& in,
+                                      const quant::FixedFormat& f) {
+  std::vector<float> out(in.size());
+  for (std::size_t i = 0; i < in.size(); ++i)
+    out[i] = quant::quantize_value(in[i], f);
+  return out;
+}
+
+std::vector<quant::FixedFormat> quantize_formats() {
+  std::vector<quant::FixedFormat> formats;
+  for (const auto& s : quant::QuantScheme::paper_levels())
+    for (const auto& f : {s.op_format(), s.inter_format(), s.softmax_format()})
+      formats.push_back(f);
+  for (int frac = 0; frac < 8; ++frac) formats.push_back({8, frac});
+  return formats;
+}
+
+TEST(Quantize, KernelBitIdenticalToQuantizeValue) {
+  Rng rng(11);
+  for (const auto& f : quantize_formats()) {
+    const std::vector<float> in = quantize_probes(f, rng);
+    std::vector<float> got = in;
+    quantize_with_kernel(got.data(), static_cast<std::int64_t>(got.size()), f);
+    expect_same_bits(got, quantize_value_all(in, f), in,
+                     "format {" + std::to_string(f.bits) + ", " +
+                         std::to_string(f.frac_bits) + "}");
+  }
+}
+
+TEST(Quantize, KernelSignedZeroAndNonFiniteSaturation) {
+  const quant::FixedFormat f = quant::QuantScheme::hybrid2().op_format();
+  using lim = std::numeric_limits<float>;
+  std::vector<float> x = {-0.0f, static_cast<float>(-0.25 * f.step()),
+                          lim::infinity(), -lim::infinity(), lim::quiet_NaN()};
+  quantize_with_kernel(x.data(), static_cast<std::int64_t>(x.size()), f);
+  EXPECT_TRUE(std::signbit(x[0]) && x[0] == 0.0f);
+  EXPECT_TRUE(std::signbit(x[1]) && x[1] == 0.0f);
+  EXPECT_EQ(x[2], static_cast<float>(f.max_value()));
+  EXPECT_EQ(x[3], static_cast<float>(f.min_value()));
+  EXPECT_EQ(x[4], static_cast<float>(f.min_value()));
+}
+
+TEST(Quantize, KernelTailLengthsTouchOnlyTheirRange) {
+  // Lengths 0-9 and 16384 + 3 cover the scalar-width tail after the vector
+  // body; a sentinel past the end must survive.
+  const quant::FixedFormat f = quant::QuantScheme::hybrid2().op_format();
+  Rng rng(12);
+  const std::vector<float> probes = quantize_probes(f, rng);
+  std::vector<std::int64_t> lengths = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  lengths.push_back(16384 + 3);
+  constexpr float kSentinel = 1234.5f;
+  for (const std::int64_t n : lengths) {
+    std::vector<float> in(static_cast<std::size_t>(n));
+    for (std::size_t i = 0; i < in.size(); ++i)
+      in[i] = probes[(i * 7 + static_cast<std::size_t>(n)) % probes.size()];
+    std::vector<float> got = in;
+    got.resize(in.size() + 8, kSentinel);
+    quantize_with_kernel(got.data(), n, f);
+    for (std::size_t i = in.size(); i < got.size(); ++i)
+      EXPECT_EQ(got[i], kSentinel) << "n=" << n << " wrote past the end";
+    got.resize(in.size());
+    expect_same_bits(got, quantize_value_all(in, f), in,
+                     "length " + std::to_string(n));
+  }
+}
+
+TEST(Quantize, ThreadedTensorPathBitIdenticalAtPoolSizes) {
+  // quantize_tensor_inplace splits the tensor across the pool; chunk
+  // boundaries must not change a bit.
+  const quant::FixedFormat f = quant::QuantScheme::hybrid2().op_format();
+  Rng rng(13);
+  const std::vector<float> probes = quantize_probes(f, rng);
+  std::vector<float> in(3 * 16384 + 5);
+  for (std::size_t i = 0; i < in.size(); ++i)
+    in[i] = probes[(i * 13) % probes.size()];
+  const std::vector<float> want = quantize_value_all(in, f);
+  for (const std::size_t threads : {1u, 4u}) {
+    set_thread_count(threads);
+    Tensor t({static_cast<std::int64_t>(in.size())}, in);
+    quant::quantize_tensor_inplace(t, f);
+    expect_same_bits(std::vector<float>(t.raw(), t.raw() + t.size()), want, in,
+                     "pool " + std::to_string(threads));
+  }
+  set_thread_count(0);
 }
 
 }  // namespace
