@@ -43,7 +43,7 @@ struct Executor::Impl {
   }
 
   void worker() {
-    // In throughput mode each worker processes its nodes with serial-inline
+    // With serialize_nodes each worker processes its nodes with serial-inline
     // parallel_fors, so distinct nodes scale across workers instead of
     // queueing on the pool's single job slot.
     std::unique_ptr<ScopedSerial> serial;

@@ -150,7 +150,7 @@ FrameOutput FrameProcessor::finish(const Frame& frame) {
   envelope_ = dsp::envelope_iq(iq_);
   db_ = dsp::log_compress(envelope_, config_.dynamic_range_db);
   times_.post_s = t.seconds();
-  // The frame's stage set is complete here, in every scheduling mode.
+  // The frame's stage set is complete here, whichever caller stepped it.
   // Zero durations are stages this frame did not run locally (batched
   // sessions beamform in the cross-session stacked pass) — recording them
   // would pollute the distributions.
@@ -168,18 +168,12 @@ FrameOutput FrameProcessor::finish(const Frame& frame, Tensor iq) {
   return finish(frame);
 }
 
-const us::TofCube& FrameProcessor::apply_tof(const Frame& frame) {
+FrameOutput FrameProcessor::process(const Frame& frame) {
   prepare(frame);
   for (std::size_t i = 0; i < num_angles_; ++i) apply_tof_angle(frame, i);
-  return compound();
-}
-
-FrameOutput FrameProcessor::process(const Frame& frame, StageTimes* times) {
-  apply_tof(frame);
+  compound();
   beamform();
-  const FrameOutput out = finish(frame);
-  if (times) *times = times_;
-  return out;
+  return finish(frame);
 }
 
 Pipeline::Pipeline(std::shared_ptr<FrameSource> source,
@@ -191,28 +185,6 @@ Pipeline::Pipeline(std::shared_ptr<FrameSource> source,
 }
 
 Pipeline::~Pipeline() = default;
-
-void Pipeline::record_stage_times(PipelineReport& report) {
-  const FrameProcessor::StageTimes& times = processor_.last_times();
-  report.stages[kTof].record(times.tof_s);
-  report.stages[kCompound].record(times.compound_s);
-  report.stages[kBeamform].record(times.beamform_s);
-  report.stages[kPost].record(times.post_s);
-}
-
-void Pipeline::process_frame(Frame& frame, const Sink& sink,
-                             PipelineReport& report) {
-  FrameProcessor::StageTimes times;
-  const FrameOutput out = processor_.process(frame, &times);
-  record_stage_times(report);
-
-  Timer t;
-  if (sink) sink(out);
-  const double sink_s = t.seconds();
-  report.stages[kSink].record(sink_s);
-  if (sink_s > 0.0) stage_instruments().sink.record(sink_s);
-  ++report.frames;
-}
 
 void Pipeline::build_graph(std::size_t num_angles) {
   // One ToF node per steering angle -> compound -> beamform -> postprocess.
@@ -243,8 +215,8 @@ void Pipeline::build_graph(std::size_t num_angles) {
   });
 }
 
-void Pipeline::process_frame_graph(Frame& frame, const Sink& sink,
-                                   PipelineReport& report) {
+void Pipeline::process_frame(Frame& frame, const Sink& sink,
+                             PipelineReport& report) {
   processor_.prepare(frame);
   if (processor_.num_angles() != graph_angles_) {
     build_graph(processor_.num_angles());
@@ -272,7 +244,11 @@ void Pipeline::process_frame_graph(Frame& frame, const Sink& sink,
   }
   if (error) std::rethrow_exception(error);
 
-  record_stage_times(report);
+  const FrameProcessor::StageTimes& times = processor_.last_times();
+  report.stages[kTof].record(times.tof_s);
+  report.stages[kCompound].record(times.compound_s);
+  report.stages[kBeamform].record(times.beamform_s);
+  report.stages[kPost].record(times.post_s);
   Timer t;
   if (sink) sink(*graph_out_);
   const double sink_s = t.seconds();
@@ -287,9 +263,7 @@ PipelineReport Pipeline::run(const Sink& sink) {
        {"source", "tof", "compound", "beamform", "postprocess", "sink"})
     report.stages.push_back(StageStats{.name = name});
 
-  const bool graph_mode =
-      processor_.config().scheduling == StageScheduling::kGraph;
-  if (graph_mode && !executor_) {
+  if (!executor_) {
     // A solo stream wants latency, not throughput: node bodies keep their
     // pool fan-out (serialize_nodes=false) and the executor only needs
     // enough workers to cover concurrent ToF-angle nodes.
@@ -300,13 +274,6 @@ PipelineReport Pipeline::run(const Sink& sink) {
     graph_ = std::make_unique<graph::FrameGraph>();
     graph_angles_ = 0;
   }
-  const auto step = [&](Frame& frame) {
-    if (graph_mode)
-      process_frame_graph(frame, sink, report);
-    else
-      process_frame(frame, sink, report);
-  };
-
   const auto cache_before = us::PlanCache::instance().stats();
   source_->reset();
   Timer wall;
@@ -320,7 +287,7 @@ PipelineReport Pipeline::run(const Sink& sink) {
       const double source_s = t.seconds();
       report.stages[kSource].record(source_s);
       if (source_s > 0.0) stage_instruments().source.record(source_s);
-      step(frame);
+      process_frame(frame, sink, report);
     }
   } else {
     // Producer/consumer with a depth-2 queue: the source acquires frame
@@ -374,7 +341,7 @@ PipelineReport Pipeline::run(const Sink& sink) {
           queue.pop_front();
           cv_space.notify_one();
         }
-        step(frame);
+        process_frame(frame, sink, report);
       }
     } catch (...) {
       {

@@ -32,18 +32,6 @@ class FrameGraph;
 
 namespace tvbf::rt {
 
-/// How the per-frame stages are executed.
-enum class StageScheduling {
-  /// Build a graph::FrameGraph per frame shape and run it on a readiness
-  /// executor: one ToF node per steering angle (parallel for compounded
-  /// frames) feeding compound -> beamform -> postprocess. The default.
-  kGraph,
-  /// Run the stages inline on the driving thread in a fixed chain (the
-  /// pre-graph path, kept for A/B benchmarking). Output is bit-identical
-  /// to kGraph.
-  kLinear,
-};
-
 /// Pipeline controls.
 struct PipelineConfig {
   us::ImagingGrid grid;
@@ -55,7 +43,6 @@ struct PipelineConfig {
   bool use_plan_cache = true;
   /// Acquire frame k+1 on a producer thread while frame k is processed.
   bool overlap = true;
-  StageScheduling scheduling = StageScheduling::kGraph;
   /// Backend executing this stream's kernels (ToF gather, beamform, the
   /// model matmuls): the FrameProcessor installs it as the thread's
   /// device::ScopedDevice around each compute stage. Null selects the
@@ -111,7 +98,7 @@ struct FrameOutput {
 /// ToF plan handles, per-angle cube slots (arena-recycled), the compounded
 /// cube + channel workspaces and the output image tensors. Pipeline drives
 /// one FrameProcessor internally; the serving layer (src/serve) owns one
-/// per session and steps it from its scheduler.
+/// per session and steps it from the session's frame graph.
 ///
 /// Stepping is exposed at graph-node granularity so a frame graph can run
 /// the stages by readiness: prepare() latches one frame's plans and slots,
@@ -135,10 +122,11 @@ class FrameProcessor {
   FrameProcessor(std::shared_ptr<const bf::Beamformer> beamformer,
                  PipelineConfig config);
 
-  /// Full per-frame step: ToF (all angles) -> compound -> beamform ->
-  /// envelope/log-compression. The returned FrameOutput references
-  /// processor-owned buffers that the next step overwrites.
-  FrameOutput process(const Frame& frame, StageTimes* times = nullptr);
+  /// Full per-frame step, inline on the calling thread: ToF (all angles)
+  /// -> compound -> beamform -> envelope/log-compression. The returned
+  /// FrameOutput references processor-owned buffers that the next step
+  /// overwrites; last_times() holds the frame's stage times.
+  FrameOutput process(const Frame& frame);
 
   // ---- graph-node stepping -------------------------------------------------
 
@@ -162,14 +150,8 @@ class FrameProcessor {
   /// Envelope/log-compression over the stored IQ image.
   FrameOutput finish(const Frame& frame);
 
-  // ---- linear/batched stepping ---------------------------------------------
-
-  /// prepare + every apply_tof_angle + compound, inline: fills the
-  /// processor's cube so an external caller can beamform it (possibly
-  /// stacked with other sessions' cubes) and finish() the frame.
-  const us::TofCube& apply_tof(const Frame& frame);
-
-  /// finish() on an externally produced IQ image (batched inference).
+  /// finish() on an IQ image beamformed outside the processor (the
+  /// server's cross-session batched inference, which reads cube()).
   FrameOutput finish(const Frame& frame, Tensor iq);
 
   const us::TofCube& cube() const { return cube_; }
@@ -217,9 +199,11 @@ class Pipeline {
            PipelineConfig config);
 
   /// Runs the source dry, calling `sink` (when set) once per frame on the
-  /// driving thread, in frame order. Source exceptions and sink/stage
-  /// exceptions propagate to the caller. Output is bit-identical across
-  /// scheduling modes.
+  /// driving thread, in frame order. Each frame executes as a frame graph:
+  /// one ToF node per steering angle (parallel for compounded frames)
+  /// feeding compound -> beamform -> postprocess. Output is bit-identical
+  /// to stepping FrameProcessor::process over the same source. Source
+  /// exceptions and sink/stage exceptions propagate to the caller.
   PipelineReport run(const Sink& sink = {});
 
   const PipelineConfig& config() const { return processor_.config(); }
@@ -228,17 +212,14 @@ class Pipeline {
 
  private:
   void process_frame(Frame& frame, const Sink& sink, PipelineReport& report);
-  void process_frame_graph(Frame& frame, const Sink& sink,
-                           PipelineReport& report);
-  void record_stage_times(PipelineReport& report);
   void build_graph(std::size_t num_angles);
 
   std::shared_ptr<FrameSource> source_;
   FrameProcessor processor_;
 
-  // Graph-mode state: the per-shape frame graph (rebuilt when the angle
-  // count changes), its executor, and the frame/output slots the node
-  // bodies read and write through.
+  // The per-shape frame graph (rebuilt when the angle count changes), its
+  // executor, and the frame/output slots the node bodies read and write
+  // through.
   std::unique_ptr<graph::Executor> executor_;
   std::unique_ptr<graph::FrameGraph> graph_;
   std::size_t graph_angles_ = 0;

@@ -36,8 +36,8 @@ struct SessionConfig {
   /// Grid/ToF flavor/dynamic range for this stream. `overlap` is ignored —
   /// the server always overlaps acquisition with processing.
   rt::PipelineConfig pipeline;
-  /// Invoked once per processed frame, in frame order, from a server
-  /// scheduler thread (at most one frame of a session is in flight at a
+  /// Invoked once per processed frame, in frame order, from an executor
+  /// worker thread (at most one frame of a session is in flight at a
   /// time). The FrameOutput references session-owned buffers overwritten
   /// by the session's next frame.
   rt::Pipeline::Sink sink;
@@ -68,8 +68,8 @@ struct SessionReport {
 /// Server-internal session state. Locking discipline: `ready`, `busy`,
 /// `exhausted`, `dropped` and the scheduler-side stage stats mutate only
 /// under the server mutex; `source_stats` belongs to the producer thread
-/// until it is joined; `processor` belongs to whichever scheduler thread
-/// currently holds `busy`.
+/// until it is joined; `processor` and the graph scratch belong to the
+/// session's in-flight frame graph while `busy`.
 class Session {
  public:
   Session(int id, SessionConfig config, bool batching_enabled);
@@ -83,7 +83,8 @@ class Session {
 
   /// Non-null when the beamformer is batch-capable and server-side
   /// batching is on: the session's frames then flow through the
-  /// cross-session InferenceBatcher instead of the direct workers.
+  /// cross-session InferenceBatcher (a batch gate node) instead of a
+  /// per-session beamform node.
   const bf::BatchedBeamformer* batched() const { return batched_; }
 
   /// True once the producer is done and every frame has been processed.
@@ -94,7 +95,7 @@ class Session {
   // ---- scheduler state (see locking discipline above) ----
   std::deque<rt::Frame> ready;  ///< acquired frames awaiting processing
   bool exhausted = false;       ///< producer ran the source dry
-  bool busy = false;            ///< a scheduler thread holds a frame
+  bool busy = false;            ///< a frame graph is in flight
   std::int64_t frames = 0;
   std::int64_t dropped = 0;
   rt::StageStats source_stats{.name = "source"};
@@ -104,7 +105,7 @@ class Session {
   rt::StageStats post_stats{.name = "postprocess"};
   rt::StageStats sink_stats{.name = "sink"};
 
-  // ---- graph-scheduling scratch (owned by the graph while `busy`) ----
+  // ---- frame-graph scratch (owned by the graph while `busy`) ----
   rt::Frame frame;          ///< frame currently flowing through the graph
   graph::FrameGraph graph;  ///< stage graph, rebuilt on angle-count change
   std::size_t graph_angles = 0;    ///< angle count `graph` was built for
@@ -119,7 +120,7 @@ class Session {
   /// (leaving the ready queue) to delivery. Registered at admission; the
   /// registry keeps the reference valid for the process lifetime.
   telemetry::LatencyHistogram& frame_latency;
-  /// When the in-flight frame left the ready queue (graph scheduling).
+  /// When the in-flight frame left the ready queue.
   std::chrono::steady_clock::time_point dispatch_time{};
 
  private:

@@ -1,8 +1,9 @@
-// Tests for the frame-graph execution layer: FrameGraph structure and
-// topological ordering, Executor readiness scheduling (diamond fan-in,
-// deferred gate nodes, failure drain, stop/cancel), BufferArena reuse, and
-// bit-identity of graph-scheduled frames against the linear stage path for
-// DAS, float Tiny-VBF and quantized sessions — single-angle and compounded.
+// Tests for the frame-graph execution layer: FrameGraph structure,
+// Executor readiness scheduling (diamond fan-in, deferred gate nodes,
+// failure drain, stop/cancel), BufferArena reuse, and bit-identity of
+// graph-scheduled frames against a linear FrameProcessor::process loop for
+// DAS, float Tiny-VBF and quantized sessions — single-angle and compounded
+// — and of served sessions against their solo pipelines.
 // Carries the `graph` ctest label and runs under the tsan CI preset.
 #include <gtest/gtest.h>
 
@@ -42,10 +43,9 @@ TEST(FrameGraphTest, InsertionOrderIsTopological) {
   const NodeId a = g.add("a", {}, done_fn);
   const NodeId b = g.add("b", {a}, done_fn);
   const NodeId c = g.add("c", {a}, done_fn);
-  const NodeId d = g.add("d", {b, c}, done_fn);
+  g.add("d", {b, c}, done_fn);
   EXPECT_EQ(g.size(), 4u);
-  EXPECT_EQ(g.topological_order(), (std::vector<NodeId>{a, b, c, d}));
-  for (const NodeId id : g.topological_order())
+  for (NodeId id = 0; id < g.size(); ++id)
     for (const NodeId dep : g.dependencies(id)) EXPECT_LT(dep, id);
 }
 
@@ -395,25 +395,41 @@ class GraphIdentityTest : public ::testing::Test {
         probe_, us::make_single_point(18e-3, 0.0, region), p);
   }
 
-  std::vector<Tensor> run(std::shared_ptr<const bf::Beamformer> beamformer,
-                          rt::StageScheduling scheduling,
-                          std::int64_t angles) const {
+  rt::PipelineConfig config() const {
     rt::PipelineConfig cfg;
     cfg.grid = grid_;
-    cfg.scheduling = scheduling;
+    return cfg;
+  }
+
+  /// B-mode frames of a solo Pipeline::run (graph-scheduled stages).
+  std::vector<Tensor> run(std::shared_ptr<const bf::Beamformer> beamformer,
+                          std::int64_t frames, std::int64_t angles) const {
     std::vector<Tensor> out;
-    rt::Pipeline pipeline(cine(3, angles), std::move(beamformer), cfg);
+    rt::Pipeline pipeline(cine(frames, angles), std::move(beamformer),
+                          config());
     pipeline.run([&](const rt::FrameOutput& f) { out.push_back(f.db); });
+    return out;
+  }
+
+  /// B-mode frames of the same source stepped inline, one
+  /// FrameProcessor::process call per frame.
+  std::vector<Tensor> step(std::shared_ptr<const bf::Beamformer> beamformer,
+                           std::int64_t angles) const {
+    std::vector<Tensor> out;
+    rt::FrameProcessor processor(std::move(beamformer), config());
+    const auto source = cine(3, angles);
+    source->reset();
+    rt::Frame frame;
+    while (source->next(frame)) out.push_back(processor.process(frame).db);
     return out;
   }
 
   /// Asserts graph scheduling reproduces the linear path bit for bit.
   void expect_identical(std::shared_ptr<const bf::Beamformer> beamformer,
                         std::int64_t angles) {
-    const std::vector<Tensor> linear =
-        run(beamformer, rt::StageScheduling::kLinear, angles);
-    const std::vector<Tensor> graph =
-        run(beamformer, rt::StageScheduling::kGraph, angles);
+    const std::vector<Tensor> linear = step(beamformer, angles);
+    const std::vector<Tensor> graph = run(beamformer, 3, angles);
+    ASSERT_EQ(linear.size(), 3u);
     ASSERT_EQ(linear.size(), graph.size());
     for (std::size_t i = 0; i < linear.size(); ++i) {
       ASSERT_EQ(linear[i].shape(), graph[i].shape());
@@ -461,10 +477,10 @@ TEST_F(GraphIdentityTest, QuantizedMatchesLinearSingleAndCompounded) {
 
 // ---- server-level graph scheduling -----------------------------------------
 
-TEST_F(GraphIdentityTest, ServerGraphMatchesRoundRobinMixedSessions) {
-  // Mixed DAS + float VBF + quantized sessions, compounded frames: the
-  // readiness scheduler must reproduce the legacy round-robin scheduler's
-  // output exactly (both equal a solo pipeline by the serve contract).
+TEST_F(GraphIdentityTest, ServerGraphMatchesSoloMixedSessions) {
+  // Mixed DAS + float VBF + quantized sessions, compounded frames: every
+  // served session, two of them batched through one shared model, must
+  // reproduce its solo Pipeline::run exactly.
   const auto shared_model = model();
   const auto das = std::make_shared<bf::DasBeamformer>(probe_);
   const auto vbf = std::make_shared<models::TinyVbfBeamformer>(shared_model);
@@ -474,31 +490,22 @@ TEST_F(GraphIdentityTest, ServerGraphMatchesRoundRobinMixedSessions) {
   const std::vector<std::shared_ptr<const bf::Beamformer>> beamformers = {
       das, vbf, vbf, quantized};
 
-  const auto serve_all = [&](serve::Scheduling scheduling) {
-    serve::ServerConfig cfg;
-    cfg.scheduling = scheduling;
-    serve::Server server(cfg);
-    std::vector<std::vector<Tensor>> outputs(beamformers.size());
-    for (std::size_t s = 0; s < beamformers.size(); ++s) {
-      rt::PipelineConfig pipeline;
-      pipeline.grid = grid_;
-      auto& into = outputs[s];
-      server.add_session(
-          {cine(3, 2), beamformers[s], pipeline,
-           [&into](const rt::FrameOutput& f) { into.push_back(f.db); }});
-    }
-    server.run();
-    return outputs;
-  };
+  serve::Server server;
+  std::vector<std::vector<Tensor>> served(beamformers.size());
+  for (std::size_t s = 0; s < beamformers.size(); ++s) {
+    auto& into = served[s];
+    server.add_session(
+        {cine(3, 2), beamformers[s], config(),
+         [&into](const rt::FrameOutput& f) { into.push_back(f.db); }});
+  }
+  server.run();
 
-  const auto round_robin = serve_all(serve::Scheduling::kRoundRobin);
-  const auto graph = serve_all(serve::Scheduling::kGraph);
-  ASSERT_EQ(round_robin.size(), graph.size());
-  for (std::size_t s = 0; s < graph.size(); ++s) {
-    ASSERT_EQ(round_robin[s].size(), 3u) << "session " << s;
-    ASSERT_EQ(graph[s].size(), 3u) << "session " << s;
+  for (std::size_t s = 0; s < beamformers.size(); ++s) {
+    const std::vector<Tensor> solo = run(beamformers[s], 3, 2);
+    ASSERT_EQ(solo.size(), 3u) << "session " << s;
+    ASSERT_EQ(served[s].size(), 3u) << "session " << s;
     for (std::size_t i = 0; i < 3; ++i)
-      EXPECT_EQ(max_abs_diff(round_robin[s][i], graph[s][i]), 0.0f)
+      EXPECT_EQ(max_abs_diff(served[s][i], solo[i]), 0.0f)
           << "session " << s << " frame " << i;
   }
 }
@@ -512,17 +519,9 @@ TEST_F(GraphIdentityTest, BatchedSessionsWithUnequalFramesDrainAfterRetire) {
   const std::vector<std::int64_t> frame_counts = {2, 5};
 
   std::vector<std::vector<Tensor>> expected;
-  for (const std::int64_t n : frame_counts) {
-    rt::PipelineConfig cfg;
-    cfg.grid = grid_;
-    std::vector<Tensor> out;
-    rt::Pipeline pipeline(cine(n, 1), vbf, cfg);
-    pipeline.run([&](const rt::FrameOutput& f) { out.push_back(f.db); });
-    expected.push_back(std::move(out));
-  }
+  for (const std::int64_t n : frame_counts) expected.push_back(run(vbf, n, 1));
 
   serve::ServerConfig cfg;
-  cfg.scheduling = serve::Scheduling::kGraph;
   cfg.batch_inference = true;
   serve::Server server(cfg);
   std::vector<std::vector<Tensor>> got(frame_counts.size());

@@ -44,6 +44,7 @@ class ServeTest : public ::testing::Test {
     default_capacity_ = us::PlanCache::instance().stats().capacity_bytes;
   }
   void TearDown() override {
+    set_thread_count(0);
     us::PlanCache::instance().set_capacity(default_capacity_);
     us::PlanCache::instance().clear();
   }
@@ -126,6 +127,9 @@ TEST_F(ServeTest, SingleSessionMatchesSoloPipeline) {
 }
 
 TEST_F(ServeTest, ConcurrentSessionsBitIdenticalToSoloRuns) {
+  // More sessions than pool threads: the server runs each frame-graph node
+  // serially on its executor worker (the ScopedSerial path), on any host.
+  set_thread_count(2);
   constexpr int kSessions = 4;
   constexpr std::int64_t kFrames = 3;
   std::vector<std::vector<Tensor>> expected(kSessions);
@@ -135,9 +139,6 @@ TEST_F(ServeTest, ConcurrentSessionsBitIdenticalToSoloRuns) {
 
   ServerConfig cfg;
   cfg.num_workers = 3;  // force worker concurrency even on small hosts
-  // Pin throughput mode so the ScopedSerial path is exercised regardless
-  // of how many cores the host has (kAuto would pick pool mode here).
-  cfg.frame_parallelism = FrameParallelism::kSerialPerWorker;
   Server server(cfg);
   std::vector<std::vector<Tensor>> got(kSessions);
   for (int s = 0; s < kSessions; ++s)
@@ -247,11 +248,13 @@ TEST_F(ServeTest, RejectsBadConfigurationAndReuse) {
                InvalidArgument);
 }
 
-TEST_F(ServeTest, IntraFrameParallelismModeMatchesSolo) {
+TEST_F(ServeTest, PoolFanOutModeMatchesSolo) {
+  // Fewer sessions than pool threads: stages fan out on the pool under
+  // session-tagged fair-share admission instead of running serially.
+  set_thread_count(4);
   const std::vector<Tensor> expected =
       solo_frames(cine(2), das(), pipeline_config());
   ServerConfig cfg;
-  cfg.frame_parallelism = FrameParallelism::kPool;  // latency: pool + tags
   cfg.num_workers = 2;
   Server server(cfg);
   std::vector<Tensor> got;
