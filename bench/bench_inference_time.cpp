@@ -5,6 +5,8 @@
 //
 // google-benchmark binary; paper-scale cases run a single iteration each
 // (MVDR at full scale is deliberately expensive — that is the point).
+// The Tiny-VBF lanes time TinyVbf::infer, the tape-free forward (no
+// autograd graph); Tiny-CNN and FCNN still infer through autograd.
 #include <benchmark/benchmark.h>
 
 #include "beamform/das.hpp"
@@ -38,6 +40,7 @@ us::TofCube random_tof_cube(std::int64_t nz, std::int64_t nx, std::int64_t nch,
 
 // ---- paper scale (368 x 128, 128 channels), one iteration each ------------
 
+// Tape-free float forward of one paper-scale frame.
 void BM_TinyVbf_PaperScale(benchmark::State& state) {
   Rng rng(1);
   const models::TinyVbf model(models::TinyVbfConfig::paper(), rng);
@@ -90,6 +93,7 @@ BENCHMARK(BM_Mvdr_PaperScale)->Unit(benchmark::kMillisecond)->Iterations(1);
 
 // ---- reduced scale (192 x 64, 32 channels), statistically sampled ----------
 
+// Tape-free float forward at reduced scale.
 void BM_TinyVbf_Reduced(benchmark::State& state) {
   Rng rng(1);
   models::TinyVbfConfig cfg;

@@ -1,5 +1,9 @@
 #include "models/neural_beamformer.hpp"
 
+#include <algorithm>
+#include <cmath>
+
+#include "common/parallel.hpp"
 #include "dsp/hilbert.hpp"
 #include "tensor/tensor_ops.hpp"
 
@@ -7,12 +11,30 @@ namespace tvbf::models {
 
 Tensor normalized_input(const us::TofCube& cube) {
   TVBF_REQUIRE(cube.real.rank() == 3, "cube holds no data");
-  Tensor in = cube.real;
-  const float m = max_abs(in);
-  if (m > 0.0f) {
-    const float inv = 1.0f / m;
-    for (auto& v : in.data()) v *= inv;
-  }
+  const float* src = cube.real.raw();
+  const auto n = static_cast<std::size_t>(cube.real.size());
+  // Chunked max_abs over the pool: max is exact, so combining the chunk
+  // maxima gives the serial max_abs bit for bit, in any order.
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  std::vector<float> chunk_max((n + kChunk - 1) / kChunk, 0.0f);
+  parallel_for_each(0, chunk_max.size(), [&](std::size_t c) {
+    float m = 0.0f;
+    for (std::size_t i = c * kChunk; i < std::min(n, (c + 1) * kChunk); ++i)
+      m = std::max(m, std::fabs(src[i]));
+    chunk_max[c] = m;
+  }, 1);
+  float m = 0.0f;
+  for (const float cm : chunk_max) m = std::max(m, cm);
+  // One fused copy-and-scale pass; an all-zero cube is copied as is.
+  const float inv = m > 0.0f ? 1.0f / m : 1.0f;
+  Tensor in(cube.real.shape());
+  float* dst = in.raw();
+  parallel_for(0, n, [&](std::size_t b, std::size_t e) {
+    if (m > 0.0f)
+      for (std::size_t i = b; i < e; ++i) dst[i] = src[i] * inv;
+    else
+      std::copy(src + b, src + e, dst + b);
+  }, kChunk);
   return in;
 }
 
@@ -22,12 +44,11 @@ Tensor rf_image_to_iq(const Tensor& rf) {
 
 std::vector<Tensor> stacked_forward(
     const std::vector<const Tensor*>& inputs,
-    const std::function<Tensor(const Tensor&)>& infer) {
+    const std::function<Tensor(Tensor)>& infer) {
   TVBF_REQUIRE(!inputs.empty(), "infer_batch needs at least one frame");
   TVBF_REQUIRE(inputs.front() != nullptr, "infer_batch got a null frame");
   if (inputs.size() == 1) return {infer(*inputs.front())};
-  const Tensor stacked = concat0_all(inputs);
-  const Tensor out = infer(stacked);
+  const Tensor out = infer(concat0_all(inputs));
   std::vector<Tensor> results;
   results.reserve(inputs.size());
   std::int64_t row = 0;
@@ -37,45 +58,6 @@ std::vector<Tensor> stacked_forward(
     row += nz;
   }
   return results;
-}
-
-std::vector<Tensor> beamform_batch_normalized(
-    const std::vector<const us::TofCube*>& cubes,
-    const std::function<std::vector<Tensor>(const std::vector<const Tensor*>&)>&
-        infer_batch) {
-  std::vector<Tensor> normalized;
-  normalized.reserve(cubes.size());
-  for (const us::TofCube* cube : cubes) {
-    TVBF_REQUIRE(cube != nullptr, "beamform_batch got a null cube");
-    normalized.push_back(normalized_input(*cube));
-  }
-  std::vector<const Tensor*> inputs;
-  inputs.reserve(normalized.size());
-  for (const Tensor& n : normalized) inputs.push_back(&n);
-  return infer_batch(inputs);
-}
-
-TinyVbfBeamformer::TinyVbfBeamformer(std::shared_ptr<const TinyVbf> model)
-    : model_(std::move(model)) {
-  TVBF_REQUIRE(model_ != nullptr, "TinyVbfBeamformer needs a model");
-}
-
-Tensor TinyVbfBeamformer::beamform(const us::TofCube& cube) const {
-  return model_->infer(normalized_input(cube));
-}
-
-std::vector<Tensor> TinyVbfBeamformer::beamform_batch(
-    const std::vector<const us::TofCube*>& cubes) const {
-  return beamform_batch_normalized(
-      cubes, [this](const std::vector<const Tensor*>& inputs) {
-        return model_->infer_batch(inputs);
-      });
-}
-
-bool TinyVbfBeamformer::encode_cost_probe(device::CommandEncoder& encoder,
-                                          std::int64_t nz_total) const {
-  encode_tiny_vbf_probe(model_->config(), nz_total, encoder);
-  return true;
 }
 
 void encode_tiny_vbf_probe(const TinyVbfConfig& config, std::int64_t nz_total,

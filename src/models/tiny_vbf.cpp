@@ -1,8 +1,123 @@
 #include "models/tiny_vbf.hpp"
 
+#include <cmath>
+
+#include "common/parallel.hpp"
 #include "models/neural_beamformer.hpp"
+#include "tensor/tensor_ops.hpp"
 
 namespace tvbf::models {
+namespace {
+
+// Rows per task for the row-parallel layer norm: each row is independent
+// and d_model wide, so a few hundred rows per task amortize dispatch while
+// a paper-scale frame (~12k rows) still spreads over the pool.
+constexpr std::size_t kRowGrain = 256;
+
+Tensor rounded(const std::function<void(Tensor&)>& hook, Tensor t) {
+  if (hook) hook(t);
+  return t;
+}
+
+Tensor dense(const Tensor& x, const DenseW& d, const ForwardRounding& r) {
+  Tensor y = rounded(r.op, batched_matmul(x, *d.w));
+  return rounded(r.op, add_bias(y, *d.b));
+}
+
+Tensor layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
+                  const ForwardRounding& r) {
+  // Mean/variance/rsqrt run at full precision (the accelerator computes the
+  // non-linear ops — division, sqrt — in a dedicated wide unit); the
+  // normalized output is rounded to the op width.
+  const std::int64_t w = x.shape().back();
+  Tensor out(x.shape());
+  parallel_for_each(0, static_cast<std::size_t>(x.size() / w),
+                    [&](std::size_t row) {
+    const float* xr = x.raw() + static_cast<std::int64_t>(row) * w;
+    float* yr = out.raw() + static_cast<std::int64_t>(row) * w;
+    double mu = 0.0;
+    for (std::int64_t j = 0; j < w; ++j) mu += xr[j];
+    mu /= static_cast<double>(w);
+    double var = 0.0;
+    for (std::int64_t j = 0; j < w; ++j) {
+      const double d = xr[j] - mu;
+      var += d * d;
+    }
+    var /= static_cast<double>(w);
+    const double istd = 1.0 / std::sqrt(var + 1e-5);
+    for (std::int64_t j = 0; j < w; ++j)
+      yr[j] = static_cast<float>(
+          gamma.raw()[j] * (xr[j] - mu) * istd + beta.raw()[j]);
+  }, kRowGrain);
+  return rounded(r.op, std::move(out));
+}
+
+Tensor attention(const Tensor& x, const BlockW& blk, std::int64_t heads,
+                 const ForwardRounding& r) {
+  const std::int64_t nz = x.dim(0), np = x.dim(1), d = x.dim(2);
+  const std::int64_t dk = d / heads;
+  const Tensor q = dense(x, blk.wq, r);
+  const Tensor k = dense(x, blk.wk, r);
+  const Tensor v = dense(x, blk.wv, r);
+  const float inv_sqrt_dk = 1.0f / std::sqrt(static_cast<float>(dk));
+  Tensor heads_out({nz, np, d});
+  // Per-head slices are contiguous bands of the trailing axis.
+  Tensor qh({nz, np, dk}), kh({nz, np, dk}), vh({nz, np, dk});
+  for (std::int64_t h = 0; h < heads; ++h) {
+    for (std::int64_t i = 0; i < nz * np; ++i)
+      for (std::int64_t j = 0; j < dk; ++j) {
+        qh.raw()[i * dk + j] = q.raw()[i * d + h * dk + j];
+        kh.raw()[i * dk + j] = k.raw()[i * d + h * dk + j];
+        vh.raw()[i * dk + j] = v.raw()[i * d + h * dk + j];
+      }
+    // Q.K^T through the blocked NT kernel: no materialized transpose.
+    Tensor scores = rounded(r.op, batched_matmul_nt(qh, kh));
+    scores = rounded(r.op, scale(scores, inv_sqrt_dk));
+    const Tensor attn = rounded(r.softmax, softmax_last(scores));
+    const Tensor oh = rounded(r.op, batched_matmul(attn, vh));  // (nz,np,dk)
+    for (std::int64_t i = 0; i < nz * np; ++i)
+      for (std::int64_t j = 0; j < dk; ++j)
+        heads_out.raw()[i * d + h * dk + j] = oh.raw()[i * dk + j];
+  }
+  return dense(heads_out, blk.wo, r);
+}
+
+}  // namespace
+
+Tensor tape_free_forward(const TinyVbfConfig& config,
+                         const TinyVbfWeights& weights,
+                         const ForwardRounding& r, Tensor input) {
+  const auto& s = input.shape();
+  TVBF_REQUIRE(s.size() == 3 && s[1] == config.num_lateral &&
+                   s[2] == config.in_channels,
+               "TinyVbf expects (nz, " + std::to_string(config.num_lateral) +
+                   ", " + std::to_string(config.in_channels) + "); got " +
+                   to_string(s));
+  const std::int64_t nz = s[0];
+  const std::int64_t np = config.num_patches();
+  const std::int64_t d = config.d_model;
+
+  // Input samples arrive through the same ADC-width path as intermediates.
+  Tensor h = rounded(r.inter, std::move(input));
+  // (nz, nx, nch) -> (nz, np, patch * nch): lateral patches are contiguous.
+  h.reshape({nz, np, config.patch_size * config.in_channels});
+  h = rounded(r.inter, dense(h, weights.embed, r));
+  // Positional embedding added to every depth row via the flat view.
+  h.reshape({nz, np * d});
+  h = rounded(r.inter, add_bias(h, *weights.pos));
+  h.reshape({nz, np, d});
+  for (const BlockW& blk : weights.blocks) {
+    const Tensor n1 = layer_norm(h, *blk.ln1_gamma, *blk.ln1_beta, r);
+    h = rounded(r.inter, add(h, attention(n1, blk, config.num_heads, r)));
+    const Tensor n2 = layer_norm(h, *blk.ln2_gamma, *blk.ln2_beta, r);
+    const Tensor m = rounded(r.op, relu(dense(n2, blk.fc1, r)));
+    h = rounded(r.inter, add(h, dense(m, blk.fc2, r)));
+  }
+  h = rounded(r.op, relu(dense(h, weights.dec1, r)));
+  h = rounded(r.inter, dense(h, weights.dec2, r));
+  h.reshape({nz, config.num_lateral, 2});
+  return h;
+}
 
 void TinyVbfConfig::validate() const {
   TVBF_REQUIRE(in_channels > 0, "in_channels must be positive");
@@ -75,17 +190,29 @@ nn::Variable TinyVbf::forward(const nn::Variable& x) const {
   return nn::reshape(h, {nz, config_.num_lateral, 2});
 }
 
-Tensor TinyVbf::infer(const Tensor& input) const {
-  return forward(nn::constant(input)).value();
+Tensor TinyVbf::infer(Tensor input) const {
+  return tape_free_forward(config_, weights(), ForwardRounding{},
+                           std::move(input));
 }
 
 std::vector<Tensor> TinyVbf::infer_batch(
     const std::vector<const Tensor*>& inputs) const {
-  // Frames stack along the depth axis: forward() treats nz as a pure batch
-  // dimension (every op is per depth row), so the stacked pass is row-wise
-  // identical to per-frame passes while paying the per-op overhead once.
-  return stacked_forward(inputs,
-                         [this](const Tensor& stacked) { return infer(stacked); });
+  // Frames stack along the depth axis: the forward treats nz as a pure
+  // batch dimension (every op is per depth row), so the stacked pass is
+  // row-wise identical to per-frame passes while paying the per-op overhead
+  // once. The stacked copy is handed over, not copied again.
+  return stacked_forward(inputs, [this](Tensor stacked) {
+    return infer(std::move(stacked));
+  });
+}
+
+TinyVbfWeights TinyVbf::weights() const {
+  TinyVbfWeights w;
+  w.blocks.resize(blocks_.size());
+  const std::vector<nn::Variable> params = parameters();
+  std::size_t i = 0;
+  w.for_each([&](const Tensor*& slot, bool) { slot = &params[i++].value(); });
+  return w;
 }
 
 std::vector<nn::Variable> TinyVbf::parameters() const {

@@ -14,7 +14,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -44,42 +46,106 @@ struct TinyVbfConfig {
                             std::int64_t lateral = 32);
 };
 
+/// One dense layer's parameters as the tape-free forward reads them.
+struct DenseW {
+  const Tensor* w = nullptr;  ///< (in, out)
+  const Tensor* b = nullptr;  ///< (out)
+};
+
+/// One pre-norm encoder block's parameters.
+struct BlockW {
+  const Tensor* ln1_gamma = nullptr;
+  const Tensor* ln1_beta = nullptr;
+  DenseW wq, wk, wv, wo;
+  const Tensor* ln2_gamma = nullptr;
+  const Tensor* ln2_beta = nullptr;
+  DenseW fc1, fc2;
+};
+
+/// Every parameter of a Tiny-VBF, by pointer: TinyVbf::weights() points at
+/// the live parameter values, QuantizedTinyVbf at its quantized copies.
+struct TinyVbfWeights {
+  DenseW embed;
+  const Tensor* pos = nullptr;
+  std::vector<BlockW> blocks;
+  DenseW dec1, dec2;
+
+  /// Calls fn(slot, is_matrix) on every slot in TinyVbf::parameters()
+  /// order; is_matrix marks the dense weight matrices and the positional
+  /// table, as against biases and layer-norm parameters.
+  template <class Fn>
+  void for_each(Fn&& fn) {
+    const auto dense = [&](DenseW& d) {
+      fn(d.w, true);
+      fn(d.b, false);
+    };
+    dense(embed);
+    fn(pos, true);
+    for (BlockW& b : blocks) {
+      fn(b.ln1_gamma, false);
+      fn(b.ln1_beta, false);
+      for (DenseW* d : {&b.wq, &b.wk, &b.wv, &b.wo}) dense(*d);
+      fn(b.ln2_gamma, false);
+      fn(b.ln2_beta, false);
+      dense(b.fc1);
+      dense(b.fc2);
+    }
+    dense(dec1);
+    dense(dec2);
+  }
+};
+
+/// The three rounding points of the tape-free forward. Each hook rounds a
+/// tensor in place; an empty hook is the identity, so the float forward
+/// leaves all three empty.
+struct ForwardRounding {
+  std::function<void(Tensor&)> op;       ///< every multiply/add result
+  std::function<void(Tensor&)> inter;    ///< layer output buffers
+  std::function<void(Tensor&)> softmax;  ///< attention probabilities
+};
+
+/// Tape-free Tiny-VBF forward, (nz, nx, nch) -> IQ (nz, nx, 2): plain
+/// tensor kernels, row-parallel layer norm and softmax, no autograd graph.
+/// Layer norm accumulates in double and Q.K^T runs the NT GEMM, so it
+/// agrees with TinyVbf::forward() to within float rounding, not bit for
+/// bit. Every op is per depth row, so stacked frames give per-frame bits.
+Tensor tape_free_forward(const TinyVbfConfig& config,
+                         const TinyVbfWeights& weights,
+                         const ForwardRounding& rounding, Tensor input);
+
 /// The Tiny-VBF network.
 class TinyVbf : public nn::Module {
  public:
   TinyVbf(TinyVbfConfig config, Rng& rng);
 
   /// Differentiable forward pass: x is a constant/leaf Variable of shape
-  /// (nz, nx, nch); returns the IQ image (nz, nx, 2).
+  /// (nz, nx, nch); returns the IQ image (nz, nx, 2). The training path.
   nn::Variable forward(const nn::Variable& x) const;
 
-  /// Inference-only convenience over a raw tensor.
-  Tensor infer(const Tensor& input) const;
+  /// Inference: tape_free_forward() over the current parameter values.
+  /// Pass an rvalue to let the forward reuse the input buffer.
+  Tensor infer(Tensor input) const;
 
   /// Batch-of-frames inference: stacks the per-frame inputs (nz_i, nx, nch)
   /// along the depth axis, runs ONE forward pass, and splits the IQ output
   /// back per frame. Depth rows are independent in this architecture
   /// (attention runs across lateral patches within a row), so each result
   /// is bit-identical to infer() on that frame alone; the single pass
-  /// amortizes the autograd graph and GEMM setup across the whole batch.
+  /// amortizes GEMM setup and pool fan-out across the whole batch.
   std::vector<Tensor> infer_batch(
       const std::vector<const Tensor*>& inputs) const;
 
   std::vector<nn::Variable> parameters() const override;
   const TinyVbfConfig& config() const { return config_; }
+  std::string name() const { return "Tiny-VBF"; }
 
   /// Multiply+add operation count for one frame of `nz` depth rows,
   /// counted as 2 ops per MAC (the GOPs/frame convention of the paper).
   std::int64_t ops_per_frame(std::int64_t nz) const;
 
-  // Structured access for the quantized kernels / accelerator simulator.
-  const nn::Dense& embed() const { return *embed_; }
-  const nn::Variable& positional() const { return pos_; }
-  const std::vector<std::unique_ptr<nn::TransformerBlock>>& blocks() const {
-    return blocks_;
-  }
-  const nn::Dense& decoder_in() const { return *dec1_; }
-  const nn::Dense& decoder_out() const { return *dec2_; }
+  /// Pointers to the live parameter values; training updates them in
+  /// place, so a view taken per call never goes stale.
+  TinyVbfWeights weights() const;
 
  private:
   TinyVbfConfig config_;

@@ -9,27 +9,10 @@ namespace tvbf::nn {
 using detail::Node;
 
 Variable softmax_last(const Variable& a) {
-  const Tensor& x = a.value();
-  TVBF_REQUIRE(x.rank() >= 1, "softmax_last needs rank >= 1");
-  const std::int64_t w = x.shape().back();
-  TVBF_REQUIRE(w >= 1, "softmax over an empty axis");
-  Tensor out(x.shape());
-  const std::int64_t rows = x.size() / w;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* xi = x.raw() + r * w;
-    float* yi = out.raw() + r * w;
-    float m = xi[0];
-    for (std::int64_t j = 1; j < w; ++j) m = std::max(m, xi[j]);
-    double denom = 0.0;
-    for (std::int64_t j = 0; j < w; ++j) {
-      yi[j] = std::exp(xi[j] - m);
-      denom += yi[j];
-    }
-    const auto inv = static_cast<float>(1.0 / denom);
-    for (std::int64_t j = 0; j < w; ++j) yi[j] *= inv;
-  }
+  Tensor y = tvbf::softmax_last(a.value());  // checks the rank and width
+  const std::int64_t w = y.shape().back();
   return Variable::make_op(
-      std::move(out), {a},
+      std::move(y), {a},
       [w](Node& n) {
         if (!n.parents[0]->requires_grad) return;
         Tensor& gx = n.parents[0]->ensure_grad();

@@ -1,7 +1,7 @@
 // Fixed-point inference of a trained Tiny-VBF under a QuantScheme.
 //
-// Re-implements the network forward pass with plain tensor kernels and a
-// fake-quantization step after every hardware operation, mirroring the
+// Runs the tape-free forward of models::tape_free_forward with a
+// fake-quantization step at each of its rounding points, mirroring the
 // datapath of the accelerator (Figs 5-8): weights are stored quantized,
 // every multiply/add result is rounded to the op width, softmax runs at its
 // own (wider) width, and each layer writes its output BRAM buffer at the
@@ -9,11 +9,11 @@
 // bit-identical to TinyVbf::infer.
 #pragma once
 
+#include <deque>
 #include <memory>
 #include <vector>
 
-#include "beamform/beamformer.hpp"
-#include "models/tiny_vbf.hpp"
+#include "models/neural_beamformer.hpp"
 #include "quant/scheme.hpp"
 
 namespace tvbf::quant {
@@ -24,12 +24,13 @@ class QuantizedTinyVbf {
   /// Captures (and quantizes) the model's weights; the model must outlive
   /// nothing — weights are copied.
   QuantizedTinyVbf(const models::TinyVbf& model, QuantScheme scheme);
+  // weights_ points into storage_.
+  QuantizedTinyVbf(const QuantizedTinyVbf&) = delete;
+  QuantizedTinyVbf& operator=(const QuantizedTinyVbf&) = delete;
 
-  /// Fixed-point forward pass: (nz, nx, nch) -> IQ (nz, nx, 2).
-  Tensor infer(const Tensor& input) const;
-  /// Same pass consuming its input: the frame-sized input buffer is
-  /// quantised in place instead of copied first.
-  Tensor infer(Tensor&& input) const;
+  /// Fixed-point forward pass: (nz, nx, nch) -> IQ (nz, nx, 2). An rvalue
+  /// input is quantised in place instead of copied first.
+  Tensor infer(Tensor input) const;
 
   /// Batch-of-frames fixed-point inference: stacks the per-frame inputs
   /// along the depth axis, runs one pass through the quantized datapath and
@@ -42,61 +43,23 @@ class QuantizedTinyVbf {
 
   const QuantScheme& scheme() const { return scheme_; }
   const models::TinyVbfConfig& config() const { return config_; }
+  /// "Tiny-VBF[<scheme>]", e.g. "Tiny-VBF[Hybrid-2]".
+  std::string name() const { return "Tiny-VBF[" + scheme_.name + "]"; }
 
   /// Total bits of quantized parameter storage (BRAM budget input).
   std::int64_t weight_storage_bits() const;
 
  private:
-  struct DenseW {
-    Tensor w;
-    Tensor b;
-  };
-  struct BlockW {
-    Tensor ln1_gamma, ln1_beta;
-    DenseW wq, wk, wv, wo;
-    Tensor ln2_gamma, ln2_beta;
-    DenseW fc1, fc2;
-  };
-
-  Tensor dense(const Tensor& x, const DenseW& d) const;
-  Tensor layer_norm(const Tensor& x, const Tensor& gamma,
-                    const Tensor& beta) const;
-  Tensor softmax_last(const Tensor& x) const;
-  Tensor attention(const Tensor& x, const BlockW& blk) const;
-
-  /// Quantizes to the multiply/add op format (no-op for float schemes).
-  Tensor q_op(Tensor t) const;
-  /// Quantizes to the intermediate-buffer format.
-  Tensor q_inter(Tensor t) const;
-
   models::TinyVbfConfig config_;
   QuantScheme scheme_;
-  DenseW embed_;
-  Tensor pos_;
-  std::vector<BlockW> blocks_;
-  DenseW dec1_, dec2_;
+  std::deque<Tensor> storage_;  ///< the (quantized) weight copies
+  models::TinyVbfWeights weights_;
+  models::ForwardRounding rounding_;
   std::int64_t param_count_ = 0;
 };
 
-/// QuantizedTinyVbf through the common Beamformer interface, mirroring
-/// models::TinyVbfBeamformer (same [-1, 1] cube normalization). Batch-
-/// capable, so the serving layer's cross-session batcher can stack frames
-/// through the fixed-point datapath in one pass.
-class QuantizedVbfBeamformer : public bf::BatchedBeamformer {
- public:
-  explicit QuantizedVbfBeamformer(std::shared_ptr<const QuantizedTinyVbf> model);
-
-  std::string name() const override;
-  Tensor beamform(const us::TofCube& cube) const override;
-  std::vector<Tensor> beamform_batch(
-      const std::vector<const us::TofCube*>& cubes) const override;
-  /// Same matmul schedule as the float adapter: fake quantization rides
-  /// the same GEMMs, so the cost probe is shared.
-  bool encode_cost_probe(device::CommandEncoder& encoder,
-                         std::int64_t nz_total) const override;
-
- private:
-  std::shared_ptr<const QuantizedTinyVbf> model_;
-};
+/// QuantizedTinyVbf through the common Beamformer interface: the same
+/// [-1, 1] cube normalization and batching as models::TinyVbfBeamformer.
+using QuantizedVbfBeamformer = models::VbfBeamformer<QuantizedTinyVbf>;
 
 }  // namespace tvbf::quant

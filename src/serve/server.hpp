@@ -84,11 +84,11 @@ struct ServerConfig {
   double watchdog_stall_s = 0.0;
   double watchdog_period_s = 0.25;  ///< watchdog poll interval
   /// Written on every watchdog trip (flight-recorder dump + trace export).
-  std::string watchdog_dump_path;
+  std::string watchdog_dump_path = {};
   /// Test-only fault injection and trip callback, forwarded verbatim to
   /// obs::Watchdog::Options.
-  std::function<bool()> watchdog_pending_override;
-  std::function<void(const obs::StallReport&)> watchdog_on_trip;
+  std::function<bool()> watchdog_pending_override = {};
+  std::function<void(const obs::StallReport&)> watchdog_on_trip = {};
 };
 
 /// What one Server::run did.

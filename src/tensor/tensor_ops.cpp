@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "common/parallel.hpp"
 #include "device/device.hpp"
 
 namespace tvbf {
@@ -85,6 +86,30 @@ Tensor add_bias(const Tensor& a, const Tensor& bias) {
     for (std::int64_t j = 0; j < n; ++j) row[j] += pb[j];
   }
   return c;
+}
+
+Tensor softmax_last(const Tensor& a) {
+  TVBF_REQUIRE(a.rank() >= 1, "softmax_last needs rank >= 1");
+  const std::int64_t w = a.shape().back();
+  TVBF_REQUIRE(w >= 1, "softmax over an empty axis");
+  Tensor out(a.shape());
+  // A few hundred ~np-wide rows per task amortize dispatch while a
+  // paper-scale frame's scores (~12k rows) still spread over the pool.
+  parallel_for_each(0, static_cast<std::size_t>(a.size() / w),
+                    [&](std::size_t r) {
+    const float* xr = a.raw() + static_cast<std::int64_t>(r) * w;
+    float* yr = out.raw() + static_cast<std::int64_t>(r) * w;
+    float m = xr[0];
+    for (std::int64_t j = 1; j < w; ++j) m = std::max(m, xr[j]);
+    double denom = 0.0;
+    for (std::int64_t j = 0; j < w; ++j) {
+      yr[j] = std::exp(xr[j] - m);
+      denom += yr[j];
+    }
+    const auto inv = static_cast<float>(1.0 / denom);
+    for (std::int64_t j = 0; j < w; ++j) yr[j] *= inv;
+  }, 256);
+  return out;
 }
 
 Tensor relu(const Tensor& a) {

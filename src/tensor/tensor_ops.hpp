@@ -34,6 +34,10 @@ Tensor relu(const Tensor& a);
 /// tanh elementwise.
 Tensor tanh_t(const Tensor& a);
 
+/// Softmax over the trailing axis: max-subtracted, denominator accumulated
+/// in double. Rows run in parallel; each row's bits are fixed.
+Tensor softmax_last(const Tensor& a);
+
 // ---- reductions ------------------------------------------------------------
 
 float sum(const Tensor& a);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "models/complexity.hpp"
 #include "models/dataset.hpp"
@@ -53,6 +55,43 @@ TEST(TinyVbf, RejectsWrongInputShape) {
   EXPECT_THROW(model.infer(Tensor({12, 16, 4})), InvalidArgument);
   EXPECT_THROW(model.infer(Tensor({12, 8, 8})), InvalidArgument);
   EXPECT_THROW(model.infer(Tensor({12, 16})), InvalidArgument);
+}
+
+TEST(TinyVbf, InferMatchesAutogradForwardWithinBound) {
+  // infer() runs the tape-free forward, forward() the autograd definition
+  // used for training. They round differently (double-accumulated layer
+  // norm, NT-GEMM attention scores), so agreement is bounded, not exact.
+  struct Case {
+    TinyVbfConfig config;
+    std::int64_t nz;
+  };
+  for (const Case& c : {Case{TinyVbfConfig::test(), 40},
+                        Case{TinyVbfConfig::paper(), 368}}) {
+    Rng rng(31);
+    const TinyVbf model(c.config, rng);
+    Rng drng(32);
+    const Tensor x = random_input(c.nz, c.config.num_lateral,
+                                  c.config.in_channels, drng);
+    const Tensor ref = model.forward(nn::constant(x)).value();
+    const Tensor y = model.infer(x);
+    ASSERT_EQ(y.shape(), ref.shape());
+    EXPECT_LE(max_abs_diff(y, ref), 1e-5f * max_abs(ref))
+        << "max|ref| " << max_abs(ref) << " at nz " << c.nz;
+  }
+}
+
+TEST(TinyVbf, InferReadsCurrentParameterValues) {
+  // Training updates parameters in place; infer() must see every update.
+  Rng rng(33);
+  const TinyVbf model(TinyVbfConfig::test(8, 16), rng);
+  Rng drng(34);
+  const Tensor x = random_input(6, 16, 8, drng);
+  const Tensor before = model.infer(x);
+  for (auto& p : model.parameters()) p.mutable_value().raw()[0] += 0.25f;
+  const Tensor after = model.infer(x);
+  EXPECT_GT(max_abs_diff(before, after), 0.0f);
+  const Tensor ref = model.forward(nn::constant(x)).value();
+  EXPECT_LE(max_abs_diff(after, ref), 1e-5f * max_abs(ref));
 }
 
 TEST(TinyVbf, ParameterListIsStableAndComplete) {
@@ -262,6 +301,47 @@ TEST(Adapters, RejectNullModel) {
   EXPECT_THROW(TinyVbfBeamformer(nullptr), InvalidArgument);
   EXPECT_THROW(TinyCnnBeamformer(nullptr), InvalidArgument);
   EXPECT_THROW(FcnnBeamformer(nullptr), InvalidArgument);
+}
+
+TEST(Adapters, NormalizedInputMatchesSerialReference) {
+  // The threaded max and fused copy-and-scale must reproduce the serial
+  // copy / max_abs / multiply bit for bit, at any pool size.
+  const auto serial = [](const Tensor& x) {
+    Tensor out = x;
+    const float m = max_abs(out);
+    if (m > 0.0f)
+      for (auto& v : out.data()) v *= 1.0f / m;
+    return out;
+  };
+  Rng rng(35);
+  std::vector<Tensor> cubes;
+  Tensor zeros({40, 32, 64});  // all zero, with signed zeros kept as is
+  for (std::int64_t i = 0; i < zeros.size(); i += 3) zeros.flat(i) = -0.0f;
+  cubes.push_back(zeros);
+  Tensor last = random_input(40, 32, 64, rng);  // max at the last element
+  last.flat(last.size() - 1) = 7.5f;
+  cubes.push_back(last);
+  Tensor negative = random_input(40, 32, 64, rng);  // max is negative
+  negative.flat(12345) = -3.0f;
+  cubes.push_back(negative);
+  cubes.push_back(random_input(3, 5, 7, rng));  // smaller than one chunk
+  for (const std::size_t threads : {1u, 4u}) {
+    set_thread_count(threads);
+    for (const Tensor& x : cubes) {
+      us::TofCube cube;
+      cube.real = x;
+      const Tensor got = normalized_input(cube);
+      const Tensor want = serial(x);
+      ASSERT_EQ(got.shape(), want.shape());
+      EXPECT_EQ(std::memcmp(got.raw(), want.raw(), got.size() * sizeof(float)),
+                0)
+          << "pool size " << threads << ", shape " << to_string(x.shape());
+    }
+  }
+  set_thread_count(0);
+  us::TofCube cube;
+  cube.real = negative;
+  EXPECT_EQ(normalized_input(cube).flat(12345), -1.0f);
 }
 
 TEST(Adapters, RfToIqPreservesSignalEnvelope) {
