@@ -1,14 +1,13 @@
 // Multi-session imaging server demo: four concurrent streams — two DAS
 // cine loops (one RF, one analytic), plus two Tiny-VBF sessions sharing one
-// model so their frames ride the cross-session inference batcher — each
-// writing its B-mode frames through its own AsyncSink writer thread.
+// model — each writing its B-mode frames through its own AsyncSink writer
+// thread.
 //
 //   ./serve_demo [--frames N] [--angles N] [--out DIR] [--drop]
-//                [--no-batch] [--backend cpu|accel] [--metrics]
-//                [--ops-port P]
+//                [--backend cpu|accel] [--metrics] [--ops-port P]
 //
 // The report prints one row per session (frames, drops, fps, stage means)
-// plus the batcher and plan-cache counters. --metrics additionally prints
+// plus the plan-cache counters. --metrics additionally prints
 // the process telemetry table at exit and writes telemetry.json plus a
 // Chrome trace.json (load at chrome://tracing) into the output directory.
 // --ops-port starts the full ops plane for the run: a localhost
@@ -45,17 +44,15 @@ namespace {
 void print_usage(const char* argv0) {
   std::printf(
       "usage: %s [--frames N] [--angles N] [--out DIR] [--drop]\n"
-      "       [--no-batch] [--backend cpu|accel] [--metrics]\n"
-      "       [--ops-port P] [--help]\n"
+      "       [--backend cpu|accel] [--metrics] [--ops-port P] [--help]\n"
       "  --frames N  cine frames per session (default 8)\n"
       "  --angles N  steered plane waves compounded per frame (default 1;\n"
       "              N > 1 adds parallel ToF graph nodes per session)\n"
       "  --out DIR   output directory (default serve_out)\n"
       "  --drop      drop-oldest backpressure instead of blocking\n"
-      "  --no-batch  disable cross-session batched inference\n"
       "  --backend B device backend for every session: cpu (reference) or\n"
-      "              accel (FPGA cycle model; identical pixels, its latency\n"
-      "              estimates drive the batcher's quorum sizing)\n"
+      "              accel (FPGA cycle model; identical pixels, modeled\n"
+      "              latency estimates)\n"
       "  --metrics   print the telemetry table at exit and write\n"
       "              telemetry.json + Chrome trace.json into the output dir\n"
       "  --ops-port P\n"
@@ -76,7 +73,6 @@ int main(int argc, char** argv) {
   std::int64_t angles = 1;
   std::string out_dir = "serve_out";
   bool drop = false;
-  bool batch = true;
   bool metrics = false;
   int ops_port = -1;
   std::string backend = "cpu";
@@ -101,8 +97,6 @@ int main(int argc, char** argv) {
       out_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--drop") == 0) {
       drop = true;
-    } else if (std::strcmp(argv[i], "--no-batch") == 0) {
-      batch = false;
     } else if (std::strcmp(argv[i], "--metrics") == 0) {
       metrics = true;
     } else if (std::strcmp(argv[i], "--ops-port") == 0 && i + 1 < argc) {
@@ -189,7 +183,6 @@ int main(int argc, char** argv) {
   serve::ServerConfig server_cfg;
   server_cfg.backpressure =
       drop ? serve::Backpressure::kDropOldest : serve::Backpressure::kBlock;
-  server_cfg.batch_inference = batch;
   const std::string flight_path = out_dir + "/flight.json";
   if (ops_port >= 0) {
     server_cfg.ops_port = ops_port;
@@ -218,13 +211,13 @@ int main(int argc, char** argv) {
 
   std::printf("serving %zu sessions x %lld cine frames (%lld channels, "
               "%lld x %lld grid, %lld angle%s/frame, %s backpressure, "
-              "batching %s, %s backend)...\n",
+              "%s backend)...\n",
               streams.size(), static_cast<long long>(frames),
               static_cast<long long>(probe.num_elements),
               static_cast<long long>(grid.nz),
               static_cast<long long>(grid.nx), static_cast<long long>(angles),
               angles == 1 ? "" : "s", drop ? "drop-oldest" : "block",
-              batch ? "on" : "off", backend.c_str());
+              backend.c_str());
 
   if (metrics) {
     // Scope the capture to the serve run: fresh instruments, armed trace.
@@ -256,12 +249,9 @@ int main(int argc, char** argv) {
               "(%lld dropped)\n",
               static_cast<long long>(report.frames), report.wall_s,
               report.aggregate_fps(), static_cast<long long>(report.dropped));
-  std::printf("plan cache: %llu hits, %llu misses; batches: %lld "
-              "(mean size %.1f)\n\n",
+  std::printf("plan cache: %llu hits, %llu misses\n\n",
               static_cast<unsigned long long>(report.plan_cache_hits),
-              static_cast<unsigned long long>(report.plan_cache_misses),
-              static_cast<long long>(report.batches.batches),
-              report.batches.mean_batch());
+              static_cast<unsigned long long>(report.plan_cache_misses));
   std::printf("%-8s %-18s %7s %7s %8s %8s %8s %8s\n", "session", "beamformer",
               "frames", "dropped", "tof ms", "bf ms", "post ms", "sink ms");
   for (std::size_t s = 0; s < report.sessions.size(); ++s) {

@@ -7,11 +7,9 @@
 // 100 MHz plus a per-list host->accelerator dispatch overhead (DMA of the
 // operands and one invocation round trip, paid once per submitted list).
 //
-// That dispatch term is what makes batching economics differ between
-// backends: stacking B frames into one list amortizes ~1 ms across B
-// frames on the accelerator, whereas the CPU's per-list cost is ~20 us —
-// so serve::InferenceBatcher derives a much larger preferred batch from
-// AccelDevice estimates than from CpuDevice ones.
+// That dispatch term is the main difference from the CPU cost model,
+// whose per-list overhead is ~20 us: on the accelerator every submitted
+// list pays ~1 ms before its first cycle.
 //
 // The adapter lives in accel/ (not device/) on purpose: it needs the full
 // accelerator simulator, which sits near the top of the layering DAG, while

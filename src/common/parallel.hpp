@@ -51,23 +51,6 @@ class ScopedSerial {
   bool previous_;
 };
 
-/// RAII guard reverting an enclosing ScopedSerial: parallel_fors issued
-/// while this guard is alive fan out to the pool again. Only valid on
-/// threads that are NOT pool workers (a worker's serial marker is a
-/// correctness requirement, not a policy); use it to let a large batched
-/// job — e.g. a stacked inference forward collected from many serialized
-/// per-session workers — use the whole pool.
-class ScopedParallel {
- public:
-  ScopedParallel();
-  ~ScopedParallel();
-  ScopedParallel(const ScopedParallel&) = delete;
-  ScopedParallel& operator=(const ScopedParallel&) = delete;
-
- private:
-  bool previous_;
-};
-
 /// Runs fn(begin..end) split into contiguous chunks across the pool.
 /// Falls back to serial execution for small ranges or single-thread pools.
 /// fn must be safe to invoke concurrently on disjoint ranges. Concurrent

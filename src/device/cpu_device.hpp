@@ -7,8 +7,8 @@
 //
 // The cost model is deliberately NOT tied to the host (hardware_threads,
 // clock): a fixed documented MAC throughput plus small per-command and
-// per-list overheads, so cost-aware batching decisions made against
-// CpuDevice estimates are deterministic across machines.
+// per-list overheads, so CpuDevice estimates (and the measured-vs-estimate
+// telemetry built on them) are deterministic across machines.
 #pragma once
 
 #include "device/device.hpp"

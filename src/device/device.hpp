@@ -6,8 +6,7 @@
 // the exact blocked kernels the callers used to invoke directly, so
 // routing through it is bit-identical to the pre-refactor direct calls.
 // AccelDevice executes on CPU too (identical output) but prices lists with
-// the accel/ cycle model, which the serving layer uses for cost-aware
-// batch sizing.
+// the accel/ cycle model.
 //
 // Routing: compute entry points (tensor_ops, nn ops, DAS, ToF apply) are
 // free functions, so the active backend is a thread-local — current()

@@ -1,6 +1,5 @@
 #include "graph/executor.hpp"
 
-#include <algorithm>
 #include <deque>
 #include <mutex>
 #include <condition_variable>
@@ -49,35 +48,9 @@ struct Executor::Impl {
     std::unique_ptr<ScopedSerial> serial;
     if (opts.serialize_nodes) serial = std::make_unique<ScopedSerial>();
     std::unique_lock lock(mu);
-    bool idle_exhausted = false;
     while (true) {
+      cv.wait(lock, [this] { return stopped || !queue.empty(); });
       if (stopped) return;
-      if (queue.empty()) {
-        // Before sleeping, let the owner flush parked deferred work (e.g.
-        // inference-batch gates below quorum) — but only once the executor
-        // is fully drained, so a still-running node can't add to a group
-        // the hook is about to fire.
-        if (!idle_exhausted && opts.idle_work && running_total == 0 &&
-            !idle_in_progress) {
-          idle_in_progress = true;
-          lock.unlock();
-          bool progressed = false;
-          try {
-            progressed = opts.idle_work();
-          } catch (...) {
-            lock.lock();
-            idle_in_progress = false;
-            throw;  // a broken idle hook is a bug; don't swallow it
-          }
-          lock.lock();
-          idle_in_progress = false;
-          if (!progressed) idle_exhausted = true;
-          continue;  // re-check queue/stop — state may have changed unlocked
-        }
-        cv.wait(lock);
-        idle_exhausted = false;
-        continue;
-      }
       auto [run, id] = queue.front();
       queue.pop_front();
       t_queue_depth.sub();
@@ -86,9 +59,7 @@ struct Executor::Impl {
         continue;
       }
       ++run->running;
-      ++running_total;
       lock.unlock();
-      Status status = Status::kDone;
       std::exception_ptr error;
       t_nodes.add();
       try {
@@ -99,24 +70,21 @@ struct Executor::Impl {
                                    run->g->nodes_[id].name.c_str());
         obs::ServiceState::instance().thread_note(
             run->g->nodes_[id].name.c_str());
-        status = run->g->nodes_[id].fn();
+        run->g->nodes_[id].fn();
       } catch (...) {
         error = std::current_exception();
       }
       lock.lock();
       --run->running;
-      --running_total;
       if (error) {
         if (!run->failed) {
           run->failed = true;
           run->error = error;
         }
-      } else if (status == Status::kDone && !run->failed) {
+      } else if (!run->failed) {
         complete_locked(run, id);
       }
-      // Deferred nodes stay outstanding until resolve().
       maybe_finish(lock, run);
-      if (running_total == 0 && queue.empty()) cv.notify_all();  // idle hook
     }
   }
 
@@ -154,8 +122,6 @@ struct Executor::Impl {
   std::vector<std::thread> threads;
   std::deque<std::pair<RunPtr, NodeId>> queue;
   std::unordered_map<const FrameGraph*, RunPtr> active;
-  std::size_t running_total = 0;
-  bool idle_in_progress = false;
   bool stopped = false;
 
   // Instruments resolved once at construction; the registry keeps the
@@ -196,31 +162,6 @@ void Executor::launch(const FrameGraph& g, Completion done,
       }
     }
   }
-  impl_->cv.notify_all();
-}
-
-void Executor::resolve(const FrameGraph& g, NodeId id) {
-  std::unique_lock lock(impl_->mu);
-  const auto it = impl_->active.find(&g);
-  if (it == impl_->active.end()) return;
-  const Impl::RunPtr run = it->second;
-  if (run->failed) return;
-  impl_->complete_locked(run, id);
-  impl_->maybe_finish(lock, run);
-  lock.unlock();
-  impl_->cv.notify_all();
-}
-
-void Executor::fail(const FrameGraph& g, std::exception_ptr error) {
-  std::unique_lock lock(impl_->mu);
-  const auto it = impl_->active.find(&g);
-  if (it == impl_->active.end()) return;
-  const Impl::RunPtr run = it->second;
-  if (run->failed) return;
-  run->failed = true;
-  run->error = std::move(error);
-  impl_->maybe_finish(lock, run);
-  lock.unlock();
   impl_->cv.notify_all();
 }
 

@@ -4,15 +4,8 @@
 // (launched graph, node) work items: a node becomes ready the moment its last
 // dependency completes, regardless of which session's graph it belongs to.
 // That replaces per-session whole-frame turn-taking — with many sessions in
-// flight the workers always pick up whatever stage is runnable next, and a
-// graph whose beamform node is still parked behind an inference-batch gate
-// does not block another session's ToF nodes.
-//
-// Nodes may return Status::kDeferred to park themselves (e.g. a batching gate
-// waiting for quorum across sessions); some external event later calls
-// resolve() to complete them. The optional idle_work hook runs when the ready
-// queue drains, letting the owner flush such parked work so deferred nodes
-// never stall the stream.
+// flight the workers always pick up whatever stage is runnable next, and one
+// session's slow beamform node does not block another session's ToF nodes.
 #pragma once
 
 #include <cstddef>
@@ -37,15 +30,12 @@ class Executor {
     /// bodies run their parallel_fors serially inline and distinct nodes
     /// scale across workers instead of contending for the pool's job slot.
     bool serialize_nodes = true;
-    /// Called (unlocked) by a worker whenever the ready queue is empty,
-    /// before it blocks. Return true if the hook made progress (more work
-    /// may now be queued); false to let the worker sleep.
-    std::function<bool()> idle_work;
   };
 
   /// Fired exactly once per launch, after the last node completes or the
   /// first node failure has drained. `error` is null on success. Invoked on
-  /// a worker (or resolving/failing) thread with no executor lock held.
+  /// a worker thread (or the thread calling stop()) with no executor lock
+  /// held.
   using Completion = std::function<void(std::exception_ptr error)>;
 
   explicit Executor(const Options& options);
@@ -61,16 +51,6 @@ class Executor {
   /// every node body, so the launch's spans chain into that frame's
   /// lineage (see telemetry::ScopedFlow).
   void launch(const FrameGraph& g, Completion done, std::uint64_t flow = 0);
-
-  /// Completes a node that returned Status::kDeferred, making its
-  /// successors eligible. Safe from any thread, including node bodies of
-  /// other graphs.
-  void resolve(const FrameGraph& g, NodeId id);
-
-  /// Fails the in-flight launch of `g`: unfinished nodes are abandoned and
-  /// the completion fires with `error` once running nodes drain. No-op if
-  /// the graph is not in flight or already failed.
-  void fail(const FrameGraph& g, std::exception_ptr error);
 
   /// Number of worker threads.
   std::size_t workers() const;

@@ -7,7 +7,7 @@
 namespace tvbf::graph {
 
 NodeId FrameGraph::add(std::string name, std::vector<NodeId> deps,
-                       std::function<Status()> fn) {
+                       std::function<void()> fn) {
   TVBF_REQUIRE(static_cast<bool>(fn), "graph node '" + name + "' needs a body");
   const NodeId id = nodes_.size();
   for (const NodeId dep : deps) {

@@ -21,24 +21,15 @@ namespace tvbf::graph {
 /// Index of a node within its FrameGraph.
 using NodeId = std::size_t;
 
-/// What a node body reports back to the scheduler.
-enum class Status {
-  /// The node's work is complete; successors may become ready.
-  kDone,
-  /// Completion will be signalled later through Executor::resolve — used by
-  /// gate nodes (e.g. cross-session inference batching) whose readiness
-  /// depends on state outside this graph.
-  kDeferred,
-};
-
 /// A DAG of stage nodes for one frame of one stream.
 class FrameGraph {
  public:
-  /// Adds a node that runs `fn` once every dependency has completed.
-  /// Dependencies must name already-added nodes (throws InvalidArgument
-  /// otherwise), which makes cycles impossible by construction.
+  /// Adds a node that runs `fn` once every dependency has completed; the
+  /// node is complete when `fn` returns. Dependencies must name
+  /// already-added nodes (throws InvalidArgument otherwise), which makes
+  /// cycles impossible by construction.
   NodeId add(std::string name, std::vector<NodeId> deps,
-             std::function<Status()> fn);
+             std::function<void()> fn);
 
   std::size_t size() const { return nodes_.size(); }
   bool empty() const { return nodes_.empty(); }
@@ -55,7 +46,7 @@ class FrameGraph {
 
   struct Node {
     std::string name;
-    std::function<Status()> fn;
+    std::function<void()> fn;
     std::vector<NodeId> deps;
     std::vector<NodeId> successors;
   };

@@ -42,57 +42,6 @@ Tensor rf_image_to_iq(const Tensor& rf) {
   return dsp::analytic_columns(rf);
 }
 
-std::vector<Tensor> stacked_forward(
-    const std::vector<const Tensor*>& inputs,
-    const std::function<Tensor(Tensor)>& infer) {
-  TVBF_REQUIRE(!inputs.empty(), "infer_batch needs at least one frame");
-  TVBF_REQUIRE(inputs.front() != nullptr, "infer_batch got a null frame");
-  if (inputs.size() == 1) return {infer(*inputs.front())};
-  const Tensor out = infer(concat0_all(inputs));
-  std::vector<Tensor> results;
-  results.reserve(inputs.size());
-  std::int64_t row = 0;
-  for (const Tensor* in : inputs) {
-    const std::int64_t nz = in->dim(0);
-    results.push_back(slice0(out, row, row + nz));
-    row += nz;
-  }
-  return results;
-}
-
-void encode_tiny_vbf_probe(const TinyVbfConfig& config, std::int64_t nz_total,
-                           device::CommandEncoder& encoder) {
-  TVBF_REQUIRE(nz_total > 0, "cost probe needs a positive row count");
-  const std::int64_t nz = nz_total;
-  const std::int64_t np = config.num_patches();
-  const std::int64_t d = config.d_model;
-  const std::int64_t dk = d / config.num_heads;
-  const std::int64_t pin = config.patch_size * config.in_channels;
-  // The matmul schedule of one stacked forward pass (mirrors
-  // accel::AcceleratorSim::run_tiny_vbf, which prices the same network):
-  // embed, per block Q/K/V + scores + head outputs + output projection +
-  // the two MLP matmuls, then the two decoder matmuls. Elementwise /
-  // softmax / layer-norm stages are negligible against these and omitted.
-  encoder.batched_gemm(nullptr, nullptr, nullptr, nz, np, pin, d);
-  for (std::int64_t b = 0; b < config.num_blocks; ++b) {
-    for (int proj = 0; proj < 3; ++proj)  // wq, wk, wv
-      encoder.batched_gemm(nullptr, nullptr, nullptr, nz, np, d, d);
-    encoder.batched_gemm(nullptr, nullptr, nullptr, nz * config.num_heads,
-                         np, dk, np, /*transpose_b=*/true);  // scores
-    encoder.batched_gemm(nullptr, nullptr, nullptr, nz * config.num_heads,
-                         np, np, dk);  // attn . V
-    encoder.batched_gemm(nullptr, nullptr, nullptr, nz, np, d, d);  // wo
-    encoder.batched_gemm(nullptr, nullptr, nullptr, nz, np, d,
-                         config.mlp_hidden);  // fc1
-    encoder.batched_gemm(nullptr, nullptr, nullptr, nz, np,
-                         config.mlp_hidden, d);  // fc2
-  }
-  encoder.batched_gemm(nullptr, nullptr, nullptr, nz, np, d,
-                       config.decoder_hidden);  // dec1
-  encoder.batched_gemm(nullptr, nullptr, nullptr, nz, np,
-                       config.decoder_hidden, config.patch_size * 2);  // dec2
-}
-
 TinyCnnBeamformer::TinyCnnBeamformer(std::shared_ptr<const TinyCnn> model)
     : model_(std::move(model)) {
   TVBF_REQUIRE(model_ != nullptr, "TinyCnnBeamformer needs a model");

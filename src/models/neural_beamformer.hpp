@@ -3,7 +3,6 @@
 // networks identically.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -45,34 +44,16 @@ class FcnnBeamformer : public bf::Beamformer {
 /// builder runs). Max and copy-and-scale are threaded over the pool.
 Tensor normalized_input(const us::TofCube& cube);
 
-/// Shared plumbing of every batch-of-frames entry point: stacks the
-/// per-frame inputs along the depth axis, runs `infer` once on the stacked
-/// tensor, and splits the output back per frame. Single-frame batches skip
-/// the stack/split copies.
-std::vector<Tensor> stacked_forward(
-    const std::vector<const Tensor*>& inputs,
-    const std::function<Tensor(Tensor)>& infer);
-
 /// Converts a beamformed RF image (nz, nx) to IQ (nz, nx, 2) via per-column
 /// analytic signal.
 Tensor rf_image_to_iq(const Tensor& rf);
 
-/// Encodes the matmul schedule of one Tiny-VBF forward pass over nz_total
-/// stacked depth rows as an estimate-only cost probe (null data pointers).
-/// Shared by the float and quantized beamformer adapters so both report
-/// the same command structure to the device cost models.
-void encode_tiny_vbf_probe(const TinyVbfConfig& config, std::int64_t nz_total,
-                           device::CommandEncoder& encoder);
-
 /// Tiny-VBF as a Beamformer: normalizes the RF cube to [-1, 1] and runs the
 /// network; the network output is already an IQ image. `Model` is TinyVbf,
 /// or quant::QuantizedTinyVbf (quant::QuantizedVbfBeamformer); both run
-/// the one tape-free forward, so they share the cost probe too. Batch-
-/// capable: the per-depth-row transformer lets several frames stack into
-/// one forward pass (cubes are normalized per frame first, so batched
-/// outputs are bit-identical to solo beamform() calls).
+/// the one tape-free forward.
 template <class Model>
-class VbfBeamformer : public bf::BatchedBeamformer {
+class VbfBeamformer : public bf::Beamformer {
  public:
   explicit VbfBeamformer(std::shared_ptr<const Model> model)
       : model_(std::move(model)) {
@@ -82,22 +63,6 @@ class VbfBeamformer : public bf::BatchedBeamformer {
   std::string name() const override { return model_->name(); }
   Tensor beamform(const us::TofCube& cube) const override {
     return model_->infer(normalized_input(cube));
-  }
-  std::vector<Tensor> beamform_batch(
-      const std::vector<const us::TofCube*>& cubes) const override {
-    std::vector<Tensor> normalized;
-    normalized.reserve(cubes.size());  // keeps the input pointers valid
-    std::vector<const Tensor*> inputs;
-    for (const us::TofCube* cube : cubes) {
-      TVBF_REQUIRE(cube != nullptr, "beamform_batch got a null cube");
-      inputs.push_back(&normalized.emplace_back(normalized_input(*cube)));
-    }
-    return model_->infer_batch(inputs);
-  }
-  bool encode_cost_probe(device::CommandEncoder& encoder,
-                         std::int64_t nz_total) const override {
-    encode_tiny_vbf_probe(model_->config(), nz_total, encoder);
-    return true;
   }
 
  private:

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/parallel.hpp"
-#include "models/neural_beamformer.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace tvbf::models {
@@ -193,17 +192,6 @@ nn::Variable TinyVbf::forward(const nn::Variable& x) const {
 Tensor TinyVbf::infer(Tensor input) const {
   return tape_free_forward(config_, weights(), ForwardRounding{},
                            std::move(input));
-}
-
-std::vector<Tensor> TinyVbf::infer_batch(
-    const std::vector<const Tensor*>& inputs) const {
-  // Frames stack along the depth axis: the forward treats nz as a pure
-  // batch dimension (every op is per depth row), so the stacked pass is
-  // row-wise identical to per-frame passes while paying the per-op overhead
-  // once. The stacked copy is handed over, not copied again.
-  return stacked_forward(inputs, [this](Tensor stacked) {
-    return infer(std::move(stacked));
-  });
 }
 
 TinyVbfWeights TinyVbf::weights() const {

@@ -126,15 +126,6 @@ class TinyVbf : public nn::Module {
   /// Pass an rvalue to let the forward reuse the input buffer.
   Tensor infer(Tensor input) const;
 
-  /// Batch-of-frames inference: stacks the per-frame inputs (nz_i, nx, nch)
-  /// along the depth axis, runs ONE forward pass, and splits the IQ output
-  /// back per frame. Depth rows are independent in this architecture
-  /// (attention runs across lateral patches within a row), so each result
-  /// is bit-identical to infer() on that frame alone; the single pass
-  /// amortizes GEMM setup and pool fan-out across the whole batch.
-  std::vector<Tensor> infer_batch(
-      const std::vector<const Tensor*>& inputs) const;
-
   std::vector<nn::Variable> parameters() const override;
   const TinyVbfConfig& config() const { return config_; }
   std::string name() const { return "Tiny-VBF"; }

@@ -60,6 +60,16 @@ void append_session(std::string& out, const SessionState& s) {
   out += "}";
 }
 
+void append_session_list(std::string& out,
+                         const std::vector<SessionState>& all) {
+  out += "[";
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    out += i == 0 ? "\n  " : ",\n  ";
+    append_session(out, all[i]);
+  }
+  out += all.empty() ? "]" : "\n]";
+}
+
 /// Per-thread activity slot: single writer (the owning thread), seqlock
 /// versioned so readers discard a slot caught mid-stamp. All fields are
 /// atomics — no plain memory is shared (see flight_recorder.cpp).
@@ -78,18 +88,11 @@ struct SessionRec {
   std::int64_t last_ns = 0;
 };
 
-struct GateRec {
-  const void* key = nullptr;
-  GateState g;
-  std::int64_t since_ns = 0;  ///< when the lot last became non-empty
-};
-
 }  // namespace
 
 struct ServiceState::Impl {
   mutable std::mutex mu;
   std::vector<SessionRec> sessions;
-  std::vector<GateRec> gates;
   ThreadSlot threads[kMaxThreads];
 
   SessionRec* find(int id) {
@@ -113,7 +116,6 @@ ServiceState& ServiceState::instance() {
 void ServiceState::reset() {
   const std::lock_guard<std::mutex> lock(impl_->mu);
   impl_->sessions.clear();
-  impl_->gates.clear();
   for (auto& slot : impl_->threads) {
     slot.version.store(0, std::memory_order_relaxed);
     slot.t_ns.store(0, std::memory_order_relaxed);
@@ -156,26 +158,6 @@ void ServiceState::retire(int id) {
   if (rec != nullptr) rec->s.retired = true;
 }
 
-void ServiceState::gate_update(const void* domain, const std::string& model,
-                               std::size_t parked, std::size_t quorum) {
-  const std::lock_guard<std::mutex> lock(impl_->mu);
-  GateRec* rec = nullptr;
-  for (auto& g : impl_->gates)
-    if (g.key == domain) rec = &g;
-  if (rec == nullptr) {
-    impl_->gates.push_back(GateRec{domain, GateState{model, 0, 0, 0.0}, 0});
-    rec = &impl_->gates.back();
-  }
-  const bool was_empty = rec->g.parked == 0;
-  rec->g.parked = parked;
-  rec->g.quorum = quorum;
-  if (parked == 0) {
-    rec->since_ns = 0;
-  } else if (was_empty) {
-    rec->since_ns = steady_ns();
-  }
-}
-
 std::vector<SessionState> ServiceState::sessions() const {
   const std::lock_guard<std::mutex> lock(impl_->mu);
   const std::int64_t now = steady_ns();
@@ -185,19 +167,6 @@ std::vector<SessionState> ServiceState::sessions() const {
     SessionState s = rec.s;
     s.heartbeat_age_s = age_s(rec.last_ns, now);
     out.push_back(std::move(s));
-  }
-  return out;
-}
-
-std::vector<GateState> ServiceState::gates() const {
-  const std::lock_guard<std::mutex> lock(impl_->mu);
-  const std::int64_t now = steady_ns();
-  std::vector<GateState> out;
-  out.reserve(impl_->gates.size());
-  for (const auto& rec : impl_->gates) {
-    GateState g = rec.g;
-    g.parked_age_s = age_s(rec.since_ns, now);
-    out.push_back(std::move(g));
   }
   return out;
 }
@@ -213,38 +182,16 @@ std::string ServiceState::healthz_json() const {
   const std::vector<SessionState> all = sessions();
   bool ok = true;
   for (const auto& s : all) ok = ok && s.healthy();
-  std::string out =
-      std::string("{\"healthy\": ") + (ok ? "true" : "false") +
-      ",\n \"sessions\": [";
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    out += i == 0 ? "\n  " : ",\n  ";
-    append_session(out, all[i]);
-  }
-  out += all.empty() ? "]}\n" : "\n]}\n";
-  return out;
+  std::string out = std::string("{\"healthy\": ") + (ok ? "true" : "false") +
+                    ",\n \"sessions\": ";
+  append_session_list(out, all);
+  return out + "}\n";
 }
 
 std::string ServiceState::sessions_json() const {
-  const std::vector<SessionState> all = sessions();
-  const std::vector<GateState> gs = gates();
-  std::string out = "{\"sessions\": [";
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    out += i == 0 ? "\n  " : ",\n  ";
-    append_session(out, all[i]);
-  }
-  out += all.empty() ? "],\n \"gates\": [" : "\n],\n \"gates\": [";
-  for (std::size_t i = 0; i < gs.size(); ++i) {
-    out += i == 0 ? "\n  " : ",\n  ";
-    out += "{\"model\": ";
-    append_escaped(out, gs[i].model);
-    out += ", \"parked\": " + std::to_string(gs[i].parked);
-    out += ", \"quorum\": " + std::to_string(gs[i].quorum);
-    out += ", \"parked_age_s\": ";
-    append_double(out, gs[i].parked_age_s);
-    out += "}";
-  }
-  out += gs.empty() ? "]}\n" : "\n]}\n";
-  return out;
+  std::string out = "{\"sessions\": ";
+  append_session_list(out, sessions());
+  return out + "}\n";
 }
 
 void ServiceState::thread_note(const char* what) {

@@ -25,12 +25,6 @@ std::string StallReport::describe() const {
                 static_cast<long long>(ready_queue),
                 static_cast<long long>(in_flight));
   std::string out = buf;
-  for (const GateState& g : gates) {
-    std::snprintf(buf, sizeof(buf),
-                  "  gate model=%s parked=%zu quorum=%zu parked_age=%.2fs\n",
-                  g.model.c_str(), g.parked, g.quorum, g.parked_age_s);
-    out += buf;
-  }
   for (const ThreadNote& t : threads) {
     std::snprintf(buf, sizeof(buf), "  thread %zu: last \"%s\" %.2fs ago\n",
                   t.thread, t.what.c_str(), t.age_s);
@@ -101,7 +95,6 @@ void Watchdog::Impl::loop() {
         report.in_flight = in_flight.value();
         report.pending_override = injected;
         report.threads = ServiceState::instance().thread_notes();
-        report.gates = ServiceState::instance().gates();
         FlightRecorder::instance().record(
             EventKind::kWatchdogTrip, -1, report.ready_queue,
             report.in_flight, injected ? "injected" : nullptr);

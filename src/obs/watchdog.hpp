@@ -5,7 +5,7 @@
 // pending work is gauge level (graph.ready_queue + serve.in_flight) or the
 // test-only pending_override. A stall is "pending work and no progress for
 // stall_s": the watchdog then assembles a StallReport — last per-thread
-// activity stamps with ages, the gate parking-lot state, queue levels —
+// activity stamps with ages and queue levels —
 // records a kWatchdogTrip flight event, optionally writes the flight dump,
 // and invokes on_trip. One trip per stall episode: the watchdog re-arms
 // only after progress resumes, so a wedged server produces one diagnosis,
@@ -34,7 +34,6 @@ struct StallReport {
   std::int64_t in_flight = 0;    ///< serve.in_flight at trip time
   bool pending_override = false;  ///< trip forced by the injection hook
   std::vector<ThreadNote> threads;
-  std::vector<GateState> gates;
 
   /// Multi-line human-readable diagnosis.
   std::string describe() const;

@@ -39,15 +39,6 @@ Tensor QuantizedTinyVbf::infer(Tensor input) const {
                                    std::move(input));
 }
 
-std::vector<Tensor> QuantizedTinyVbf::infer_batch(
-    const std::vector<const Tensor*>& inputs) const {
-  // Same depth-axis stacking as TinyVbf::infer_batch: every fixed-point
-  // stage is per depth row, so batched results match solo infer() exactly.
-  return models::stacked_forward(inputs, [this](Tensor stacked) {
-    return infer(std::move(stacked));
-  });
-}
-
 std::int64_t QuantizedTinyVbf::weight_storage_bits() const {
   const std::int64_t bits_per =
       scheme_.is_float ? 32 : scheme_.weight_bits;

@@ -32,15 +32,6 @@ class QuantizedTinyVbf {
   /// input is quantised in place instead of copied first.
   Tensor infer(Tensor input) const;
 
-  /// Batch-of-frames fixed-point inference: stacks the per-frame inputs
-  /// along the depth axis, runs one pass through the quantized datapath and
-  /// splits the IQ output per frame. Every stage (dense, layer norm,
-  /// softmax, fake quantization) is per depth row, so each result is
-  /// bit-identical to infer() on that frame alone; the single pass
-  /// amortizes GEMM packing and tensor allocation across the batch.
-  std::vector<Tensor> infer_batch(
-      const std::vector<const Tensor*>& inputs) const;
-
   const QuantScheme& scheme() const { return scheme_; }
   const models::TinyVbfConfig& config() const { return config_; }
   /// "Tiny-VBF[<scheme>]", e.g. "Tiny-VBF[Hybrid-2]".
@@ -59,7 +50,7 @@ class QuantizedTinyVbf {
 };
 
 /// QuantizedTinyVbf through the common Beamformer interface: the same
-/// [-1, 1] cube normalization and batching as models::TinyVbfBeamformer.
+/// [-1, 1] cube normalization as models::TinyVbfBeamformer.
 using QuantizedVbfBeamformer = models::VbfBeamformer<QuantizedTinyVbf>;
 
 }  // namespace tvbf::quant

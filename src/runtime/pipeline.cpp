@@ -151,21 +151,13 @@ FrameOutput FrameProcessor::finish(const Frame& frame) {
   db_ = dsp::log_compress(envelope_, config_.dynamic_range_db);
   times_.post_s = t.seconds();
   // The frame's stage set is complete here, whichever caller stepped it.
-  // Zero durations are stages this frame did not run locally (batched
-  // sessions beamform in the cross-session stacked pass) — recording them
-  // would pollute the distributions.
   StageInstruments& si = stage_instruments();
-  if (times_.tof_s > 0.0) si.tof.record(times_.tof_s);
-  if (times_.compound_s > 0.0) si.compound.record(times_.compound_s);
-  if (times_.beamform_s > 0.0) si.beamform.record(times_.beamform_s);
-  if (times_.post_s > 0.0) si.post.record(times_.post_s);
+  si.tof.record(times_.tof_s);
+  si.compound.record(times_.compound_s);
+  si.beamform.record(times_.beamform_s);
+  si.post.record(times_.post_s);
   return FrameOutput{frame.index, frame.time_s, iq_, envelope_, db_,
                      frame.trace_id};
-}
-
-FrameOutput FrameProcessor::finish(const Frame& frame, Tensor iq) {
-  iq_ = std::move(iq);
-  return finish(frame);
 }
 
 FrameOutput FrameProcessor::process(const Frame& frame) {
@@ -198,20 +190,14 @@ void Pipeline::build_graph(std::size_t num_angles) {
     tof_ids.push_back(graph_->add(
         "tof[" + std::to_string(i) + "]", {}, [this, i] {
           processor_.apply_tof_angle(*graph_frame_, i);
-          return graph::Status::kDone;
         }));
   }
-  const graph::NodeId compound = graph_->add("compound", tof_ids, [this] {
-    processor_.compound();
-    return graph::Status::kDone;
-  });
-  const graph::NodeId beamform = graph_->add("beamform", {compound}, [this] {
-    processor_.beamform();
-    return graph::Status::kDone;
-  });
+  const graph::NodeId compound =
+      graph_->add("compound", tof_ids, [this] { processor_.compound(); });
+  const graph::NodeId beamform = graph_->add(
+      "beamform", {compound}, [this] { processor_.beamform(); });
   graph_->add("postprocess", {beamform}, [this] {
     graph_out_.emplace(processor_.finish(*graph_frame_));
-    return graph::Status::kDone;
   });
 }
 

@@ -47,8 +47,7 @@ struct PipelineConfig {
   /// model matmuls): the FrameProcessor installs it as the thread's
   /// device::ScopedDevice around each compute stage. Null selects the
   /// process-wide CPU reference device. Every stock backend produces
-  /// bit-identical output; they differ in the cost model the serving
-  /// layer's batcher consults.
+  /// bit-identical output; they differ only in their cost models.
   std::shared_ptr<device::Device> device;
 };
 
@@ -150,11 +149,6 @@ class FrameProcessor {
   /// Envelope/log-compression over the stored IQ image.
   FrameOutput finish(const Frame& frame);
 
-  /// finish() on an IQ image beamformed outside the processor (the
-  /// server's cross-session batched inference, which reads cube()).
-  FrameOutput finish(const Frame& frame, Tensor iq);
-
-  const us::TofCube& cube() const { return cube_; }
   /// Angle count latched by the last prepare().
   std::size_t num_angles() const { return num_angles_; }
   /// Per-stage times of the frame most recently stepped to finish().
@@ -163,8 +157,6 @@ class FrameProcessor {
 
   const PipelineConfig& config() const { return config_; }
   const bf::Beamformer& beamformer() const { return *beamformer_; }
-  /// The stream's resolved backend (config().device or the CPU default).
-  device::Device& device() const { return *device_; }
 
  private:
   std::shared_ptr<const bf::Beamformer> beamformer_;

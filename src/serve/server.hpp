@@ -2,30 +2,22 @@
 //
 // The Server admits N concurrent sessions and drives them to completion
 // over shared resources: each session gets a producer thread (acquisition
-// prefetch with bounded in-flight frames and a backpressure policy), and
-// sessions sharing a batch-capable learned beamformer have their frames
-// stacked through one cross-session forward pass per dispatch
-// (InferenceBatcher).
+// prefetch with bounded in-flight frames and a backpressure policy).
 //
 // Frame execution is graph-scheduled: each session's frame is a
 // graph::FrameGraph (prepare -> one ToF node per steering angle ->
 // compound -> beamform -> deliver) and one shared graph::Executor drains
-// ready nodes across ALL sessions by readiness. A session parked behind
-// the cross-session inference gate never blocks another session's ToF
-// work, and multi-angle frames ToF-correct their transmits in parallel.
-// Cross-session batching is an ordinary graph node: a batched session's
-// gate node parks until enough sessions sharing its model are ready
-// (quorum = min(max_batch, live sessions)), then one stacked forward pass
-// fires and every parked graph resumes; the executor's idle hook and
-// session retirement flush partial groups so parked frames never stall.
+// ready nodes across ALL sessions by readiness, so multi-angle frames
+// ToF-correct their transmits in parallel and a slow stage of one session
+// never holds up another session's ready nodes. Sessions sharing one
+// learned model each run their own forward pass.
 //
 // How a node's stage body uses the cores is decided per run:
 //
 //  - with at least as many sessions as pool threads (enough streams to
 //    fill the cores), each node runs serially on its executor worker
 //    (common::ScopedSerial), so concurrent sessions scale across cores
-//    instead of contending for the pool's single job slot (batched
-//    forward passes still fan out — common::ScopedParallel);
+//    instead of contending for the pool's single job slot;
 //  - with fewer sessions, stages fan out on the shared pool via
 //    parallel_for, with pool-slot admission tagged by session id so the
 //    fair-share rotation keeps any one session from starving the rest
@@ -44,7 +36,6 @@
 #include <vector>
 
 #include "obs/watchdog.hpp"
-#include "serve/inference_batcher.hpp"
 #include "serve/session.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -58,15 +49,6 @@ struct ServerConfig {
   /// Per-session bound on acquired-but-unprocessed frames (>= 1).
   std::size_t max_in_flight = 2;
   Backpressure backpressure = Backpressure::kBlock;
-  /// Batch frames of sessions sharing a bf::BatchedBeamformer through one
-  /// forward pass. Off, those sessions are scheduled like any other.
-  bool batch_inference = true;
-  std::size_t max_batch = 16;  ///< cap on one cross-session batch
-  /// Cap the batch quorum further by InferenceBatcher::preferred_batch
-  /// (device cost estimates, marginal-gain rule). Off, the quorum is the
-  /// structural min(max_batch, live sessions) — useful for A/B lanes that
-  /// must differ only in max_batch.
-  bool cost_aware_batching = true;
   /// With a sink set and a positive period, run() keeps a background
   /// sampler thread that emits a telemetry Registry snapshot to the sink
   /// every period (plus one final snapshot as the run finishes). The sink
@@ -97,7 +79,12 @@ struct ServerReport {
   std::int64_t frames = 0;   ///< across all sessions
   std::int64_t dropped = 0;  ///< across all sessions
   std::vector<SessionReport> sessions;
-  InferenceBatcher::Stats batches;
+  /// Always zero: no batches run. Read by perfbench/src/scanner_mix.cpp.
+  struct Batches {
+    std::int64_t batches = 0;
+    double forward_s = 0.0;
+    double mean_batch() const { return 0.0; }
+  } batches;
   std::uint64_t plan_cache_hits = 0;    ///< delta over this run
   std::uint64_t plan_cache_misses = 0;  ///< delta over this run
 
@@ -109,9 +96,9 @@ struct ServerReport {
 /// Tunes the process allocator for steady-state serving (glibc: raises the
 /// malloc mmap/trim thresholds so frame-sized tensors recycle through the
 /// heap instead of being mmapped and unmapped — page faults + kernel
-/// zeroing — on every allocation). Stacked batch tensors cross the default
-/// 128 KiB threshold long before solo frames do, so serving processes
-/// should call this once at startup, as bench_serve and serve_demo do.
+/// zeroing — on every allocation). A paper-scale ToF cube alone is ~24 MB,
+/// far above the default 128 KiB threshold, so serving processes should
+/// call this once at startup, as bench_serve and serve_demo do.
 /// No-op on non-glibc platforms.
 void tune_allocator();
 

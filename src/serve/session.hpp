@@ -72,20 +72,11 @@ struct SessionReport {
 /// session's in-flight frame graph while `busy`.
 class Session {
  public:
-  Session(int id, SessionConfig config, bool batching_enabled);
+  Session(int id, SessionConfig config);
 
   int id() const { return id_; }
   const SessionConfig& config() const { return config_; }
   rt::FrameProcessor& processor() { return processor_; }
-  /// The session's resolved backend (pipeline.device or the CPU default);
-  /// its cost model drives the batch gate's quorum sizing.
-  device::Device& device() const { return processor_.device(); }
-
-  /// Non-null when the beamformer is batch-capable and server-side
-  /// batching is on: the session's frames then flow through the
-  /// cross-session InferenceBatcher (a batch gate node) instead of a
-  /// per-session beamform node.
-  const bf::BatchedBeamformer* batched() const { return batched_; }
 
   /// True once the producer is done and every frame has been processed.
   bool done() const { return exhausted && ready.empty() && !busy; }
@@ -109,11 +100,8 @@ class Session {
   rt::Frame frame;          ///< frame currently flowing through the graph
   graph::FrameGraph graph;  ///< stage graph, rebuilt on angle-count change
   std::size_t graph_angles = 0;    ///< angle count `graph` was built for
-  graph::NodeId batch_node = 0;    ///< gate node id (batched sessions)
-  Tensor batched_iq;               ///< IQ delivered by a cross-session fire
-  double forward_each_s = 0.0;     ///< per-frame share of the batch forward
   double sink_s = 0.0;             ///< sink time of the frame in flight
-  bool retired = false;            ///< retirement reported to the domain
+  bool retired = false;            ///< retirement recorded exactly once
 
   // ---- telemetry ----
   /// Per-session frame latency ("serve.session.<id>.frame_s"): dispatch
@@ -127,7 +115,6 @@ class Session {
   int id_ = -1;
   SessionConfig config_;
   rt::FrameProcessor processor_;
-  const bf::BatchedBeamformer* batched_ = nullptr;
 };
 
 }  // namespace tvbf::serve

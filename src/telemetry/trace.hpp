@@ -16,8 +16,7 @@
 // calling thread's ambient ScopedFlow or one passed explicitly — and the
 // export emits Chrome flow events (ph "s"/"t"/"f" sharing one id) binding
 // all spans of a frame into a connected chain, so one frame's path across
-// producer, graph nodes, batch gate and sink renders as arrows in
-// about:tracing.
+// producer, graph nodes and sink renders as arrows in about:tracing.
 #pragma once
 
 #include <atomic>
@@ -112,8 +111,8 @@ void trace_record(const char* name,
                   std::chrono::steady_clock::time_point end);
 
 /// Records one span tagged with an explicit flow id — for work done on
-/// behalf of a frame from outside its ambient scope (e.g. the stacked
-/// batch forward recording one step per member frame).
+/// behalf of a frame from outside its ambient scope (e.g. the server's
+/// producer thread recording a frame's acquisition).
 void trace_record_flow(const char* name,
                        std::chrono::steady_clock::time_point begin,
                        std::chrono::steady_clock::time_point end,

@@ -265,32 +265,6 @@ Tensor concat0(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-Tensor concat0_all(const std::vector<const Tensor*>& parts) {
-  TVBF_REQUIRE(!parts.empty(), "concat0_all needs at least one tensor");
-  const Tensor& first = *parts.front();
-  TVBF_REQUIRE(first.rank() >= 1, "concat0_all needs rank >= 1");
-  std::int64_t rows = 0;
-  for (const Tensor* p : parts) {
-    TVBF_REQUIRE(p != nullptr, "concat0_all got a null tensor");
-    TVBF_REQUIRE(p->rank() == first.rank(), "concat0_all rank mismatch");
-    for (std::int64_t ax = 1; ax < first.rank(); ++ax)
-      TVBF_REQUIRE(p->dim(ax) == first.dim(ax),
-                   "concat0_all trailing shape mismatch: " +
-                       to_string(first.shape()) + " vs " +
-                       to_string(p->shape()));
-    rows += p->dim(0);
-  }
-  Shape s = first.shape();
-  s[0] = rows;
-  Tensor c(s);
-  float* out = c.raw();
-  for (const Tensor* p : parts) {
-    std::copy(p->data().begin(), p->data().end(), out);
-    out += p->size();
-  }
-  return c;
-}
-
 float l2_norm(const Tensor& a) {
   double s = 0.0;
   for (float v : a.data()) s += static_cast<double>(v) * v;

@@ -75,10 +75,6 @@ Tensor slice0(const Tensor& a, std::int64_t begin, std::int64_t end);
 /// Concatenates along axis 0 (shapes must otherwise match).
 Tensor concat0(const Tensor& a, const Tensor& b);
 
-/// N-ary concat0: stacks all parts along axis 0 with a single allocation
-/// (the batch-of-frames entry points stack whole frames this way).
-Tensor concat0_all(const std::vector<const Tensor*>& parts);
-
 // ---- norms & comparisons ---------------------------------------------------
 
 /// Frobenius / L2 norm.

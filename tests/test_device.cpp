@@ -1,8 +1,7 @@
 // Device-layer suite: the CpuDevice backend must be bit-identical to the
 // direct kernel calls the hot paths used before the command-list refactor;
-// AccelDevice must execute identically while serving cycle-model latency
-// estimates whose per-frame cost is monotone in batch size — the property
-// the serving layer's cost-aware quorum sizing rests on.
+// AccelDevice must execute identically while pricing each list from the
+// cycle model plus its per-list dispatch overhead.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,11 +14,9 @@
 #include "accel/accel_device.hpp"
 #include "device/cpu_device.hpp"
 #include "device/device.hpp"
+#include "dsp/interpolate.hpp"
 #include "kernels/conv.hpp"
 #include "kernels/gemm.hpp"
-#include "models/neural_beamformer.hpp"
-#include "models/tiny_vbf.hpp"
-#include "serve/inference_batcher.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace tvbf::device {
@@ -343,88 +340,19 @@ TEST(AccelDevice, ExecutesBitIdenticalToCpu) {
   EXPECT_EQ(accel.stats().lists, 1);
 }
 
-class TinyVbfCostTest : public ::testing::Test {
- protected:
-  TinyVbfCostTest() {
-    Rng rng(11);
-    auto model = std::make_shared<models::TinyVbf>(
-        models::TinyVbfConfig::test(16, 32), rng);
-    vbf_ = std::make_shared<models::TinyVbfBeamformer>(model);
-  }
-
-  /// Estimated per-frame seconds for a b-frame stack of nz-row frames.
-  double per_frame(const Device& dev, std::int64_t nz, std::int64_t b) {
-    CommandEncoder enc;
-    EXPECT_TRUE(vbf_->encode_cost_probe(enc, nz * b));
-    return dev.estimate_seconds(enc.finish()) / static_cast<double>(b);
-  }
-
-  std::shared_ptr<models::TinyVbfBeamformer> vbf_;
-};
-
-TEST_F(TinyVbfCostTest, AccelPerFrameEstimateMonotoneInBatchSize) {
+TEST(AccelDevice, EstimateIsDispatchOverheadPlusCycles) {
+  // One GEMM list: the estimate is the per-list host dispatch overhead
+  // plus the modeled cycles at the array clock, and nothing else.
   const AccelDevice accel;
-  const CpuDevice cpu_dev;
-  for (const std::int64_t nz : {40, 96}) {
-    double prev_accel = per_frame(accel, nz, 1);
-    double prev_cpu = per_frame(cpu_dev, nz, 1);
-    for (std::int64_t b = 2; b <= 8; ++b) {
-      const double cur_accel = per_frame(accel, nz, b);
-      const double cur_cpu = per_frame(cpu_dev, nz, b);
-      EXPECT_LE(cur_accel, prev_accel) << "accel nz=" << nz << " b=" << b;
-      EXPECT_LE(cur_cpu, prev_cpu) << "cpu nz=" << nz << " b=" << b;
-      prev_accel = cur_accel;
-      prev_cpu = cur_cpu;
-    }
-  }
-}
-
-TEST_F(TinyVbfCostTest, AccelDispatchOverheadDwarfsCpuOverhead) {
-  // The modeled host->accelerator round trip is what makes deep batches
-  // worthwhile: the overhead amortized per frame must shrink much faster
-  // on accel than the (already small) CPU list overhead.
-  const AccelDevice accel;
-  const double solo = per_frame(accel, 96, 1);
-  const double batched = per_frame(accel, 96, 8);
-  EXPECT_LT(batched, solo);
-  EXPECT_GT(solo - batched, 0.5 * AccelDevice::kDispatchOverheadSeconds);
-}
-
-TEST_F(TinyVbfCostTest, PreferredBatchLargerUnderAccelEstimates) {
-  const serve::InferenceBatcher batcher(16);
-  const AccelDevice accel;
-  const CpuDevice cpu_dev;
-  const std::int64_t nz = 96;
-  const std::size_t on_cpu = batcher.preferred_batch(cpu_dev, *vbf_, nz, 16);
-  const std::size_t on_accel =
-      batcher.preferred_batch(accel, *vbf_, nz, 16);
-  EXPECT_GE(on_cpu, 1u);
-  EXPECT_LE(on_accel, 16u);
-  // The deterministic cost models must make the accelerator prefer deeper
-  // stacks than the CPU at identical load — the serving-layer property the
-  // quorum gate exploits.
-  EXPECT_GT(on_accel, on_cpu);
-  EXPECT_EQ(batcher.stats().preferred_batch,
-            static_cast<std::int64_t>(on_accel));
-  // Cached: a second query returns the same sizing.
-  EXPECT_EQ(batcher.preferred_batch(accel, *vbf_, nz, 16), on_accel);
-}
-
-/// A batch-capable method with no cost probe: sizing falls back to the cap.
-class ProbelessBeamformer : public bf::BatchedBeamformer {
- public:
-  std::string name() const override { return "probeless"; }
-  Tensor beamform(const us::TofCube&) const override { return Tensor(); }
-  std::vector<Tensor> beamform_batch(
-      const std::vector<const us::TofCube*>& cubes) const override {
-    return std::vector<Tensor>(cubes.size());
-  }
-};
-
-TEST(InferenceBatcher, PreferredBatchFallsBackToCapWithoutProbe) {
-  const serve::InferenceBatcher batcher(8);
-  const ProbelessBeamformer probeless;
-  EXPECT_EQ(batcher.preferred_batch(cpu(), probeless, 96, 8), 8u);
+  const std::int64_t m = 96, k = 64, n = 32;
+  const CommandList list =
+      CommandEncoder().gemm(nullptr, nullptr, nullptr, m, k, n).finish();
+  const double cycles_s =
+      static_cast<double>(accel.simulator().matmul_cycles(1, m, k, n)) /
+      accel.simulator().config().clock_hz;
+  EXPECT_GT(cycles_s, 0.0);
+  EXPECT_DOUBLE_EQ(accel.estimate_seconds(list),
+                   AccelDevice::kDispatchOverheadSeconds + cycles_s);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the frame-graph execution layer: FrameGraph structure,
-// Executor readiness scheduling (diamond fan-in, deferred gate nodes,
-// failure drain, stop/cancel), BufferArena reuse, and bit-identity of
+// Executor readiness scheduling (diamond fan-in, failure drain,
+// stop/cancel), BufferArena reuse, and bit-identity of
 // graph-scheduled frames against a linear FrameProcessor::process loop for
 // DAS, float Tiny-VBF and quantized sessions — single-angle and compounded
 // — and of served sessions against their solo pipelines.
@@ -34,7 +34,7 @@
 namespace tvbf::graph {
 namespace {
 
-Status done_fn() { return Status::kDone; }
+void done_fn() {}
 
 // ---- FrameGraph structure --------------------------------------------------
 
@@ -113,13 +113,12 @@ TEST(ExecutorTest, DiamondFanInWaitsForAllDependencies) {
   const auto record = [&](const char* name) {
     std::lock_guard lock(order_mu);
     order.emplace_back(name);
-    return Status::kDone;
   };
   FrameGraph g;
-  const NodeId top = g.add("top", {}, [&] { return record("top"); });
-  const NodeId left = g.add("left", {top}, [&] { return record("left"); });
-  const NodeId right = g.add("right", {top}, [&] { return record("right"); });
-  g.add("join", {left, right}, [&] { return record("join"); });
+  const NodeId top = g.add("top", {}, [&] { record("top"); });
+  const NodeId left = g.add("left", {top}, [&] { record("left"); });
+  const NodeId right = g.add("right", {top}, [&] { record("right"); });
+  g.add("join", {left, right}, [&] { record("join"); });
 
   ASSERT_EQ(run_to_completion(ex, g), nullptr);
   ASSERT_EQ(order.size(), 4u);
@@ -127,63 +126,13 @@ TEST(ExecutorTest, DiamondFanInWaitsForAllDependencies) {
   EXPECT_EQ(order.back(), "join");  // join ran after BOTH mid nodes
 }
 
-TEST(ExecutorTest, DeferredGateCompletesOnResolve) {
-  Executor ex(two_workers());
-  std::mutex mu;
-  std::condition_variable cv;
-  bool parked = false;
-  std::atomic<int> after_gate{0};
-
-  FrameGraph g;
-  const NodeId gate = g.add("gate", {}, [&] {
-    {
-      std::lock_guard lock(mu);
-      parked = true;
-    }
-    cv.notify_all();
-    return Status::kDeferred;
-  });
-  g.add("after", {gate}, [&] {
-    after_gate.fetch_add(1);
-    return Status::kDone;
-  });
-
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  bool fired = false;
-  std::exception_ptr error;
-  ex.launch(g, [&](std::exception_ptr e) {
-    std::lock_guard lock(done_mu);
-    error = e;
-    fired = true;
-    done_cv.notify_all();
-  });
-
-  {
-    // The launch must NOT complete while the gate is parked.
-    std::unique_lock lock(mu);
-    cv.wait(lock, [&] { return parked; });
-  }
-  EXPECT_EQ(after_gate.load(), 0);
-  ex.resolve(g, gate);
-
-  std::unique_lock lock(done_mu);
-  done_cv.wait(lock, [&] { return fired; });
-  EXPECT_EQ(error, nullptr);
-  EXPECT_EQ(after_gate.load(), 1);
-}
-
 TEST(ExecutorTest, NodeFailureDrainsWithoutRunningSuccessors) {
   Executor ex(two_workers());
   std::atomic<int> downstream{0};
   FrameGraph g;
-  const NodeId bad = g.add("bad", {}, []() -> Status {
-    throw std::runtime_error("stage exploded");
-  });
-  g.add("after", {bad}, [&] {
-    downstream.fetch_add(1);
-    return Status::kDone;
-  });
+  const NodeId bad =
+      g.add("bad", {}, [] { throw std::runtime_error("stage exploded"); });
+  g.add("after", {bad}, [&] { downstream.fetch_add(1); });
 
   const std::exception_ptr error = run_to_completion(ex, g);
   ASSERT_NE(error, nullptr);
@@ -191,43 +140,61 @@ TEST(ExecutorTest, NodeFailureDrainsWithoutRunningSuccessors) {
   EXPECT_EQ(downstream.load(), 0);
 }
 
-TEST(ExecutorTest, StopCancelsParkedLaunch) {
-  // Session-retire path: a graph parked on an unresolved gate must drain
-  // with an error when the executor shuts down, not hang or leak.
-  Executor ex(two_workers());
+TEST(ExecutorTest, StopFailsQueuedLaunchesOnce) {
+  // One worker is held inside graph a's first node while graphs b and c
+  // wait in the ready queue, never started. stop() must fire every
+  // completion exactly once with the stop error — the queued launches at
+  // once, the running one when its node returns — and run no successor.
+  constexpr int kGraphs = 3;
   std::mutex mu;
   std::condition_variable cv;
-  bool parked = false;
+  bool started = false;
+  bool release = false;
   std::atomic<int> downstream{0};
-
-  FrameGraph g;
-  const NodeId gate = g.add("gate", {}, [&] {
-    {
-      std::lock_guard lock(mu);
-      parked = true;
-    }
-    cv.notify_all();
-    return Status::kDeferred;
-  });
-  g.add("after", {gate}, [&] {
-    downstream.fetch_add(1);
-    return Status::kDone;
-  });
-
-  std::atomic<bool> fired{false};
-  std::exception_ptr error;
-  ex.launch(g, [&](std::exception_ptr e) {
-    error = e;
-    fired.store(true);
-  });
-  {
+  std::vector<FrameGraph> graphs(kGraphs);
+  const NodeId hold = graphs[0].add("hold", {}, [&] {
     std::unique_lock lock(mu);
-    cv.wait(lock, [&] { return parked; });
+    started = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  });
+  graphs[0].add("after", {hold}, [&] { downstream.fetch_add(1); });
+  for (int k = 1; k < kGraphs; ++k) {
+    const NodeId a = graphs[k].add("a", {}, [&] { downstream.fetch_add(1); });
+    graphs[k].add("b", {a}, [&] { downstream.fetch_add(1); });
   }
-  ex.stop();
-  EXPECT_TRUE(fired.load());
-  ASSERT_NE(error, nullptr);
-  EXPECT_THROW(std::rethrow_exception(error), LogicError);
+
+  std::vector<std::atomic<int>> fired(kGraphs);
+  std::vector<std::exception_ptr> errors(kGraphs);
+  {
+    Executor::Options opts;
+    opts.num_workers = 1;
+    opts.serialize_nodes = false;
+    Executor ex(opts);
+    for (int k = 0; k < kGraphs; ++k) {
+      ex.launch(graphs[k], [&, k](std::exception_ptr e) {
+        errors[k] = e;
+        fired[k].fetch_add(1);
+        // The last queued launch's completion frees the held worker, so
+        // stop() can join it.
+        if (k == kGraphs - 1) {
+          std::lock_guard lock(mu);
+          release = true;
+          cv.notify_all();
+        }
+      });
+    }
+    {
+      std::unique_lock lock(mu);
+      cv.wait(lock, [&] { return started; });
+    }
+    ex.stop();
+  }  // the destructor's second stop() must not fire anything again
+  for (int k = 0; k < kGraphs; ++k) {
+    EXPECT_EQ(fired[k].load(), 1) << "graph " << k;
+    ASSERT_NE(errors[k], nullptr) << "graph " << k;
+    EXPECT_THROW(std::rethrow_exception(errors[k]), LogicError);
+  }
   EXPECT_EQ(downstream.load(), 0);
 }
 
@@ -237,18 +204,9 @@ TEST(ExecutorTest, InterleavedGraphsAllComplete) {
   std::atomic<int> total{0};
   std::vector<FrameGraph> graphs(kGraphs);
   for (auto& g : graphs) {
-    const NodeId a = g.add("a", {}, [&] {
-      total.fetch_add(1);
-      return Status::kDone;
-    });
-    const NodeId b = g.add("b", {a}, [&] {
-      total.fetch_add(1);
-      return Status::kDone;
-    });
-    g.add("c", {a, b}, [&] {
-      total.fetch_add(1);
-      return Status::kDone;
-    });
+    const NodeId a = g.add("a", {}, [&] { total.fetch_add(1); });
+    const NodeId b = g.add("b", {a}, [&] { total.fetch_add(1); });
+    g.add("c", {a, b}, [&] { total.fetch_add(1); });
   }
 
   std::mutex mu;
@@ -271,10 +229,7 @@ TEST(ExecutorTest, SameGraphRelaunchesFrameAfterFrame) {
   Executor ex(two_workers());
   std::atomic<int> runs{0};
   FrameGraph g;
-  const NodeId a = g.add("a", {}, [&] {
-    runs.fetch_add(1);
-    return Status::kDone;
-  });
+  const NodeId a = g.add("a", {}, [&] { runs.fetch_add(1); });
   g.add("b", {a}, done_fn);
   for (int frame = 0; frame < 5; ++frame)
     ASSERT_EQ(run_to_completion(ex, g), nullptr);
@@ -479,8 +434,8 @@ TEST_F(GraphIdentityTest, QuantizedMatchesLinearSingleAndCompounded) {
 
 TEST_F(GraphIdentityTest, ServerGraphMatchesSoloMixedSessions) {
   // Mixed DAS + float VBF + quantized sessions, compounded frames: every
-  // served session, two of them batched through one shared model, must
-  // reproduce its solo Pipeline::run exactly.
+  // served session, two of them sharing one model, must reproduce its solo
+  // Pipeline::run exactly.
   const auto shared_model = model();
   const auto das = std::make_shared<bf::DasBeamformer>(probe_);
   const auto vbf = std::make_shared<models::TinyVbfBeamformer>(shared_model);
@@ -510,27 +465,22 @@ TEST_F(GraphIdentityTest, ServerGraphMatchesSoloMixedSessions) {
   }
 }
 
-TEST_F(GraphIdentityTest, BatchedSessionsWithUnequalFramesDrainAfterRetire) {
-  // Two sessions share one batch-capable model but run UNEQUAL frame
-  // counts: once the short session retires, the survivor's gate can never
-  // reach the old quorum — retirement must shrink the quorum (and the idle
-  // hook must flush partial groups) so the remaining frames still drain.
+TEST_F(GraphIdentityTest, SharedModelSessionsWithUnequalFramesMatchSolo) {
+  // Two sessions share one model but run UNEQUAL frame counts (2 and 5):
+  // the short session retires early and the survivor keeps streaming. Each
+  // must deliver exactly its solo Pipeline::run frames.
   const auto vbf = std::make_shared<models::TinyVbfBeamformer>(model());
   const std::vector<std::int64_t> frame_counts = {2, 5};
 
   std::vector<std::vector<Tensor>> expected;
   for (const std::int64_t n : frame_counts) expected.push_back(run(vbf, n, 1));
 
-  serve::ServerConfig cfg;
-  cfg.batch_inference = true;
-  serve::Server server(cfg);
+  serve::Server server;
   std::vector<std::vector<Tensor>> got(frame_counts.size());
   for (std::size_t s = 0; s < frame_counts.size(); ++s) {
-    rt::PipelineConfig pipeline;
-    pipeline.grid = grid_;
     auto& into = got[s];
     server.add_session(
-        {cine(frame_counts[s], 1), vbf, pipeline,
+        {cine(frame_counts[s], 1), vbf, config(),
          [&into](const rt::FrameOutput& f) { into.push_back(f.db); }});
   }
   const serve::ServerReport report = server.run();

@@ -143,7 +143,7 @@ TEST(FlightRecorder, WriteFlightDumpComposesFlightAndTrace) {
 // ---------------------------------------------------------------------------
 // ServiceState
 
-TEST(ServiceState, TracksSloHealthAndGates) {
+TEST(ServiceState, TracksSloHealth) {
   ServiceState& st = ServiceState::instance();
   st.reset();
   EXPECT_TRUE(st.healthy());  // vacuously
@@ -167,19 +167,13 @@ TEST(ServiceState, TracksSloHealthAndGates) {
   EXPECT_TRUE(sessions[1].healthy());
   EXPECT_NEAR(sessions[1].last_frame_s, 99.0, 1e-9);
 
-  st.gate_update(&st, "tiny_vbf", 3, 4);
-  auto gates = st.gates();
-  ASSERT_EQ(gates.size(), 1u);
-  EXPECT_EQ(gates[0].parked, 3u);
-  EXPECT_EQ(gates[0].quorum, 4u);
-
   st.retire(1);
   EXPECT_TRUE(st.sessions()[1].retired);
 
   const std::string healthz = st.healthz_json();
   EXPECT_NE(healthz.find("\"healthy\": false"), std::string::npos);
   const std::string sessions_json = st.sessions_json();
-  EXPECT_NE(sessions_json.find("\"gates\""), std::string::npos);
+  EXPECT_NE(sessions_json.find("\"sessions\""), std::string::npos);
   EXPECT_NE(sessions_json.find("tiny_vbf"), std::string::npos);
   st.reset();
 }

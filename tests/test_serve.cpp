@@ -1,5 +1,5 @@
 // Tests for the multi-session imaging server: session scheduling with
-// backpressure, cross-session batched Tiny-VBF inference, the async sink,
+// backpressure, sessions sharing one Tiny-VBF model, the async sink,
 // fair-share pool tagging, and PlanCache single-flight / contention
 // behavior. This suite carries the `serve` ctest label and runs under the
 // tsan CI preset — it is the concurrency-soundness gate for the serving
@@ -22,12 +22,10 @@
 #include "accel/accel_device.hpp"
 #include "models/neural_beamformer.hpp"
 #include "models/tiny_vbf.hpp"
-#include "quant/quantized_tiny_vbf.hpp"
 #include "runtime/frame_source.hpp"
 #include "runtime/pipeline.hpp"
 #include "us/plan_cache.hpp"
 #include "serve/async_sink.hpp"
-#include "serve/inference_batcher.hpp"
 #include "serve/server.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -266,7 +264,7 @@ TEST_F(ServeTest, PoolFanOutModeMatchesSolo) {
     EXPECT_EQ(max_abs_diff(got[k], expected[k]), 0.0f);
 }
 
-// ---- cross-session batched inference ---------------------------------------
+// ---- learned-model sessions ------------------------------------------------
 
 class ServeModelTest : public ServeTest {
  protected:
@@ -281,70 +279,9 @@ class ServeModelTest : public ServeTest {
   std::shared_ptr<models::TinyVbfBeamformer> beamformer_;
 };
 
-TEST_F(ServeModelTest, InferBatchBitIdenticalToPerFrame) {
-  // Different depth extents in one batch; each split result must equal the
-  // solo forward pass bit for bit (depth rows are independent).
-  Rng rng(3);
-  std::vector<Tensor> inputs;
-  for (const std::int64_t nz : {7, 12, 5}) {
-    Tensor t({nz, 32, 16});
-    for (auto& v : t.data()) v = static_cast<float>(rng.normal(0.0, 0.3));
-    inputs.push_back(std::move(t));
-  }
-  std::vector<const Tensor*> ptrs;
-  for (const Tensor& t : inputs) ptrs.push_back(&t);
-
-  const std::vector<Tensor> batched = model_->infer_batch(ptrs);
-  ASSERT_EQ(batched.size(), inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const Tensor solo = model_->infer(inputs[i]);
-    ASSERT_EQ(batched[i].shape(), solo.shape());
-    EXPECT_EQ(max_abs_diff(batched[i], solo), 0.0f) << "frame " << i;
-  }
-}
-
-TEST_F(ServeModelTest, QuantizedInferBatchBitIdenticalToPerFrame) {
-  const auto quantized = std::make_shared<quant::QuantizedTinyVbf>(
-      *model_, quant::QuantScheme::uniform(16));
-  Rng rng(4);
-  std::vector<Tensor> inputs;
-  for (const std::int64_t nz : {6, 9}) {
-    Tensor t({nz, 32, 16});
-    for (auto& v : t.data()) v = static_cast<float>(rng.normal(0.0, 0.3));
-    inputs.push_back(std::move(t));
-  }
-  std::vector<const Tensor*> ptrs;
-  for (const Tensor& t : inputs) ptrs.push_back(&t);
-
-  const std::vector<Tensor> batched = quantized->infer_batch(ptrs);
-  for (std::size_t i = 0; i < inputs.size(); ++i)
-    EXPECT_EQ(max_abs_diff(batched[i], quantized->infer(inputs[i])), 0.0f);
-}
-
-TEST_F(ServeModelTest, BatcherDispatchMatchesPerCubeBeamform) {
-  std::vector<us::TofCube> cubes;
-  for (const double z : {15e-3, 18e-3, 21e-3}) {
-    const us::Acquisition a = us::simulate_plane_wave(
-        probe_, us::make_single_point(z), 0.0, clean_);
-    cubes.push_back(us::tof_correct(a, grid_, {}));
-  }
-  std::vector<const us::TofCube*> ptrs;
-  for (const us::TofCube& c : cubes) ptrs.push_back(&c);
-
-  InferenceBatcher batcher(2);  // forces chunking: batches of 2 + 1
-  const std::vector<Tensor> batched = batcher.dispatch(*beamformer_, ptrs);
-  ASSERT_EQ(batched.size(), cubes.size());
-  for (std::size_t i = 0; i < cubes.size(); ++i)
-    EXPECT_EQ(max_abs_diff(batched[i], beamformer_->beamform(cubes[i])), 0.0f);
-
-  const InferenceBatcher::Stats stats = batcher.stats();
-  EXPECT_EQ(stats.frames, 3);
-  EXPECT_EQ(stats.batches, 2);
-  EXPECT_EQ(stats.max_batch, 2);
-  EXPECT_NEAR(stats.mean_batch(), 1.5, 1e-12);
-}
-
 TEST_F(ServeModelTest, BatchedSessionsBitIdenticalToSoloPipeline) {
+  // Three sessions share one TinyVbfBeamformer in one server; each runs its
+  // own forward pass and must reproduce its solo Pipeline::run bit for bit.
   constexpr int kSessions = 3;
   constexpr std::int64_t kFrames = 3;
   std::vector<std::vector<Tensor>> expected(kSessions);
@@ -352,7 +289,7 @@ TEST_F(ServeModelTest, BatchedSessionsBitIdenticalToSoloPipeline) {
     expected[s] = solo_frames(cine(kFrames, 15e-3 + 2e-3 * s), beamformer_,
                               pipeline_config());
 
-  Server server;  // batching on by default
+  Server server;
   std::vector<std::vector<Tensor>> got(kSessions);
   for (int s = 0; s < kSessions; ++s)
     server.add_session({cine(kFrames, 15e-3 + 2e-3 * s), beamformer_,
@@ -360,9 +297,6 @@ TEST_F(ServeModelTest, BatchedSessionsBitIdenticalToSoloPipeline) {
   const ServerReport report = server.run();
 
   EXPECT_EQ(report.frames, kSessions * kFrames);
-  EXPECT_EQ(report.batches.frames, kSessions * kFrames);
-  EXPECT_GE(report.batches.batches, 1);
-  EXPECT_LE(report.batches.max_batch, kSessions);
   for (int s = 0; s < kSessions; ++s) {
     ASSERT_EQ(got[s].size(), expected[s].size()) << "session " << s;
     for (std::size_t k = 0; k < got[s].size(); ++k)
@@ -372,33 +306,31 @@ TEST_F(ServeModelTest, BatchedSessionsBitIdenticalToSoloPipeline) {
 }
 
 TEST_F(ServeModelTest, UnbatchedServerMatchesBatchedServer) {
-  auto run_server = [&](bool batch) {
-    ServerConfig cfg;
-    cfg.batch_inference = batch;
-    Server server(cfg);
+  // A session served alone must produce the same frames as when it is
+  // served next to other sessions sharing its model.
+  auto run_server = [&](int extra_sessions) {
+    Server server;
     std::vector<Tensor> got;
     server.add_session(
         {cine(2), beamformer_, pipeline_config(), capture(got)});
+    for (int s = 0; s < extra_sessions; ++s)
+      server.add_session({cine(2, 16e-3 + 2e-3 * s), beamformer_,
+                          pipeline_config(), {}});
     const ServerReport report = server.run();
-    if (!batch) {
-      EXPECT_EQ(report.batches.frames, 0);
-    }
+    EXPECT_EQ(report.frames, 2 * (1 + extra_sessions));
     return got;
   };
-  const std::vector<Tensor> batched = run_server(true);
-  const std::vector<Tensor> unbatched = run_server(false);
-  ASSERT_EQ(batched.size(), unbatched.size());
-  for (std::size_t k = 0; k < batched.size(); ++k)
-    EXPECT_EQ(max_abs_diff(batched[k], unbatched[k]), 0.0f);
+  const std::vector<Tensor> alone = run_server(0);
+  const std::vector<Tensor> shared = run_server(2);
+  ASSERT_EQ(alone.size(), 2u);
+  ASSERT_EQ(shared.size(), alone.size());
+  for (std::size_t k = 0; k < alone.size(); ++k)
+    EXPECT_EQ(max_abs_diff(shared[k], alone[k]), 0.0f) << "frame " << k;
 }
 
-TEST_F(ServeModelTest, AccelBackendPrefersDeeperBatchesWithIdenticalOutput) {
+TEST_F(ServeModelTest, AccelBackendServesBitIdenticalToCpu) {
   // Same sessions on the CPU reference backend and the accelerator cycle
-  // model: pixels must be bit-identical (backends only differ in cost
-  // estimates), while the cost-aware gate must plan a deeper batch under
-  // the accelerator's host-DMA dispatch overhead. Both preferred batches
-  // are pure dimension arithmetic, hence exact values are deterministic
-  // regardless of scheduling noise.
+  // model: backends differ only in cost estimates, so pixels must match.
   constexpr int kSessions = 2;
   constexpr std::int64_t kFrames = 3;
   auto run_backend = [&](std::shared_ptr<device::Device> dev,
@@ -427,9 +359,6 @@ TEST_F(ServeModelTest, AccelBackendPrefersDeeperBatchesWithIdenticalOutput) {
       EXPECT_EQ(max_abs_diff(on_accel[s][k], on_cpu[s][k]), 0.0f)
           << "session " << s << " frame " << k;
   }
-  EXPECT_GE(cpu_report.batches.preferred_batch, 1);
-  EXPECT_GT(accel_report.batches.preferred_batch,
-            cpu_report.batches.preferred_batch);
 }
 
 TEST_F(ServeModelTest, MixedDasAndBatchedModelSessions) {
