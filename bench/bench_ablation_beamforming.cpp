@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
         std::tuple{"tukey  f/1.75", dsp::WindowKind::kTukey25, 1.75},
         std::tuple{"boxcar f/1.00", dsp::WindowKind::kBoxcar, 1.0},
         std::tuple{"boxcar full  ", dsp::WindowKind::kBoxcar, 0.0}}) {
-    bf::ApodizationParams ap;
+    us::ApodizationParams ap;
     ap.window = wk;
     ap.f_number = fnum;
     const bf::DasBeamformer das(scene.probe, ap);

@@ -158,8 +158,8 @@ int main(int argc, char** argv) {
 
   // ---- part 1: N concurrent DAS sessions vs the same N run sequentially ----
   us::PlanCache::instance().clear();
-  {  // warm the plan cache so both lanes pay zero geometry passes
-    const auto plan = us::PlanCache::instance().get_for(acq, grid);
+  {  // warm the baked DAS plan so both lanes pay zero geometry passes
+    const auto plan = das->plan_for(acq, grid, cfg.tof.interp);
     (void)plan;
   }
 

@@ -43,9 +43,9 @@ std::int64_t AccelDevice::command_cycles(const device::Command& cmd) const {
       return sim.elementwise_cycles(command_macs(device::Command{c}));
     }
     std::int64_t operator()(const device::DasApplyCmd& c) const {
-      // Per-pixel weighted channel reduction == (nz*nx, nch) . (nch, planes).
-      return sim.matmul_cycles(1, c.nz * c.nx, c.nch,
-                               c.im != nullptr ? 2 : 1);
+      // Sparse weighted reduction: one MAC (plus inline gather taps) per
+      // active entry, streamed through the elementwise lanes.
+      return sim.elementwise_cycles(command_macs(device::Command{c}));
     }
   };
   return std::visit(Cycles{sim_}, cmd);

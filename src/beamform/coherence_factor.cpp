@@ -9,7 +9,7 @@ namespace tvbf::bf {
 
 CoherenceFactorBeamformer::CoherenceFactorBeamformer(const us::Probe& probe,
                                                      double gamma,
-                                                     ApodizationParams apod)
+                                                     us::ApodizationParams apod)
     : probe_(probe), gamma_(gamma), apod_params_(apod) {
   probe_.validate();
   TVBF_REQUIRE(gamma > 0.0, "coherence-factor exponent must be positive");
@@ -21,7 +21,7 @@ Tensor CoherenceFactorBeamformer::beamform(const us::TofCube& cube) const {
   TVBF_REQUIRE(cube.channels() == probe_.num_elements,
                "cube channel count does not match the probe");
   const std::int64_t nz = cube.nz(), nx = cube.nx(), nch = cube.channels();
-  const Apodization apod(probe_, apod_params_);
+  const us::Apodization apod(probe_, apod_params_);
   Tensor iq({nz, nx, 2});
   parallel_for_each(0, static_cast<std::size_t>(nz), [&](std::size_t zi) {
     const auto iz = static_cast<std::int64_t>(zi);

@@ -7,7 +7,7 @@
 // and MVDR.
 #pragma once
 
-#include "beamform/apodization.hpp"
+#include "us/apodization.hpp"
 #include "beamform/beamformer.hpp"
 
 namespace tvbf::bf {
@@ -18,7 +18,7 @@ class CoherenceFactorBeamformer : public Beamformer {
   /// gamma: CF exponent (1 = classic CF; <1 softer, >1 more aggressive).
   explicit CoherenceFactorBeamformer(const us::Probe& probe,
                                      double gamma = 1.0,
-                                     ApodizationParams apod = {});
+                                     us::ApodizationParams apod = {});
 
   std::string name() const override { return "CF-DAS"; }
 
@@ -28,7 +28,7 @@ class CoherenceFactorBeamformer : public Beamformer {
  private:
   us::Probe probe_;
   double gamma_;
-  ApodizationParams apod_params_;
+  us::ApodizationParams apod_params_;
 };
 
 }  // namespace tvbf::bf

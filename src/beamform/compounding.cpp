@@ -3,9 +3,6 @@
 #include <cmath>
 
 #include "common/parallel.hpp"
-#include "dsp/hilbert.hpp"
-#include "us/plan_cache.hpp"
-#include "tensor/tensor_ops.hpp"
 #include "us/simulator.hpp"
 
 namespace tvbf::bf {
@@ -36,33 +33,21 @@ Tensor compound_acquisitions(const std::vector<us::Acquisition>& acqs,
                              const CompoundingParams& params) {
   params.validate();
   TVBF_REQUIRE(!acqs.empty(), "no acquisitions to compound");
-  // ToF geometry depends only on (probe, grid, angle), so each steering
-  // angle's plan comes from the global cache and is rebuilt at most once
-  // per process, not once per compounded frame.
-  us::TofCube cube;
-  us::ChannelWorkspace workspace;
-  Tensor sum;  // analytic: (nz, nx, 2) IQ; RF: (nz, nx) beamformed RF
-  for (const auto& acq : acqs) {
+  // Fused DAS per angle: each steering angle's baked plan comes from the
+  // global cache (built at most once per process), and the Hilbert
+  // transform of RF frames runs once on the compounded plane.
+  std::vector<std::shared_ptr<const us::DasPlan>> plans;
+  std::vector<us::ChannelWorkspace> lines(acqs.size());
+  plans.reserve(acqs.size());
+  for (std::size_t i = 0; i < acqs.size(); ++i) {
+    const us::Acquisition& acq = acqs[i];
     TVBF_REQUIRE(acq.probe.num_elements == acqs.front().probe.num_elements,
                  "acquisitions use different probes");
-    const auto plan =
-        us::PlanCache::instance().get_for(acq, grid, params.tof.interp);
-    plan->apply(acq, params.tof.analytic, cube, &workspace);
     const DasBeamformer das(acq.probe, params.apodization);
-    // On RF cubes, sum the beamformed RF planes: the Hilbert transform is
-    // linear, so it is hoisted out of the per-angle loop and applied once
-    // per compounded frame below (formerly once per angle inside
-    // das.beamform).
-    Tensor img = params.tof.analytic ? das.beamform(cube)
-                                     : das.beamform_rf(cube);
-    if (sum.empty())
-      sum = std::move(img);
-    else
-      add_inplace(sum, img);
+    plans.push_back(das.plan_for(acq, grid, params.tof.interp));
+    plans.back()->load(acq, params.tof.analytic, lines[i]);
   }
-  Tensor avg = scale(sum, 1.0f / static_cast<float>(acqs.size()));
-  if (params.tof.analytic) return avg;
-  return dsp::analytic_columns(avg);
+  return das_beamform_lines(plans, lines, params.tof.analytic);
 }
 
 void compound_cubes(const std::vector<const us::TofCube*>& cubes,

@@ -21,7 +21,7 @@ namespace tvbf::bf {
 struct CompoundingParams {
   std::int64_t num_angles = 11;       ///< steered transmits per frame
   double max_angle_rad = 16.0 * M_PI / 180.0;  ///< +/- span of steering
-  ApodizationParams apodization;
+  us::ApodizationParams apodization;
   us::TofParams tof;
 
   /// Evenly spaced steering angles in [-max_angle, +max_angle].
@@ -39,7 +39,9 @@ Tensor compound_plane_waves(
     const CompoundingParams& params);
 
 /// Compounds pre-acquired steered acquisitions (for callers that manage
-/// their own acquisition loop). All acquisitions must share the probe.
+/// their own acquisition loop) with fused DAS: the per-angle beamformed
+/// planes are summed in angle order, then scaled. All acquisitions must
+/// share the probe.
 Tensor compound_acquisitions(const std::vector<us::Acquisition>& acqs,
                              const us::ImagingGrid& grid,
                              const CompoundingParams& params);
@@ -48,9 +50,9 @@ Tensor compound_acquisitions(const std::vector<us::Acquisition>& acqs,
 /// mean over the cubes, summed in list order (deterministic regardless of
 /// thread count). All cubes must share shape and analytic flavor. The
 /// streaming frame graph uses this to fold N parallel ToF nodes into the
-/// single cube its beamform node consumes; for linear beamformers (DAS)
-/// cube-domain compounding is exactly image-domain compounding, and for
-/// learned models it is the compound-then-beamform architecture.
+/// single cube a cube-consuming beamformer (MVDR, the learned models)
+/// reads: the compound-then-beamform architecture. DAS frames compound
+/// their beamformed planes instead (compound_acquisitions).
 void compound_cubes(const std::vector<const us::TofCube*>& cubes,
                     us::TofCube& out);
 

@@ -1,76 +1,63 @@
 #include "beamform/das.hpp"
 
-#include <vector>
-
-#include "device/device.hpp"
 #include "dsp/hilbert.hpp"
+#include "tensor/tensor_ops.hpp"
+#include "us/plan_cache.hpp"
 
 namespace tvbf::bf {
 
-namespace {
-void check_cube(const us::TofCube& cube, const us::Probe& probe) {
-  TVBF_REQUIRE(cube.real.rank() == 3, "DAS expects a (nz, nx, nch) cube");
-  TVBF_REQUIRE(cube.channels() == probe.num_elements,
-               "cube channel count does not match the probe");
-}
-
-/// Bound apodization+grid context for DasApplyCmd's weight callback: the
-/// device layer owns the weighted-sum loop, the pixel-geometry weights stay
-/// here in beamform/.
-struct WeightContext {
-  const Apodization& apod;
-  const us::ImagingGrid& grid;
-
-  static void fill(const void* ctx, std::int64_t iz, std::int64_t ix,
-                   std::vector<float>& w) {
-    const auto& self = *static_cast<const WeightContext*>(ctx);
-    self.apod.weights_into(self.grid.x_at(ix), self.grid.z_at(iz), w);
-  }
-};
-}  // namespace
-
-DasBeamformer::DasBeamformer(const us::Probe& probe, ApodizationParams apod)
+DasBeamformer::DasBeamformer(const us::Probe& probe,
+                             us::ApodizationParams apod)
     : probe_(probe), apod_params_(apod) {
   probe_.validate();
 }
 
-Tensor DasBeamformer::beamform_rf(const us::TofCube& cube) const {
-  check_cube(cube, probe_);
-  TVBF_REQUIRE(!cube.is_analytic(),
-               "beamform_rf expects an RF (non-analytic) cube");
-  const std::int64_t nz = cube.nz(), nx = cube.nx(), nch = cube.channels();
-  const Apodization apod(probe_, apod_params_);
-  const WeightContext ctx{apod, cube.grid};
-
-  Tensor sum_re({nz, nx});
-  device::current().submit(
-      device::CommandEncoder()
-          .encode(device::DasApplyCmd{cube.real.raw(), nullptr, sum_re.raw(),
-                                      nz, nx, nch, &ctx, WeightContext::fill})
-          .finish());
-  return sum_re;
+Tensor DasBeamformer::beamform(const us::TofCube& cube) const {
+  TVBF_REQUIRE(cube.real.rank() == 3, "DAS expects a (nz, nx, nch) cube");
+  TVBF_REQUIRE(cube.channels() == probe_.num_elements,
+               "cube channel count does not match the probe");
+  // The cube's geometry is unknown here, so the table holds weights only.
+  const us::DasPlan plan =
+      us::DasPlan::build_weights(probe_, cube.grid, apod_params_);
+  Tensor out;
+  plan.apply(cube, out);
+  // Beamformed RF -> analytic signal per image column (paper: "processed
+  // with the Hilbert Transform to obtain the final B-mode image").
+  return cube.is_analytic() ? out : dsp::analytic_columns(out);
 }
 
-Tensor DasBeamformer::beamform(const us::TofCube& cube) const {
-  check_cube(cube, probe_);
-  if (!cube.is_analytic()) {
-    // Beamformed RF -> analytic signal per image column (paper: "processed
-    // with the Hilbert Transform to obtain the final B-mode image").
-    return dsp::analytic_columns(beamform_rf(cube));
-  }
+std::shared_ptr<const us::DasPlan> DasBeamformer::plan_for(
+    const us::Acquisition& acq, const us::ImagingGrid& grid,
+    dsp::Interp interp, bool cached) const {
+  // The plan's weights come from the acquisition's probe; the reference
+  // path weighs with this beamformer's. Same layout, same weights.
+  TVBF_REQUIRE(acq.probe.num_elements == probe_.num_elements &&
+                   acq.probe.pitch == probe_.pitch,
+               "acquisition probe does not match the DAS beamformer");
+  if (cached)
+    return us::PlanCache::instance().get_das_for(acq, grid, interp,
+                                                 apod_params_);
+  TVBF_REQUIRE(acq.rf.rank() == 2 && acq.num_samples() > 1,
+               "acquisition holds no RF data");
+  return std::make_shared<const us::DasPlan>(us::DasPlan::build(
+      acq.probe, grid, acq.steering_angle_rad, acq.t0, acq.num_samples(),
+      interp, apod_params_));
+}
 
-  // Analytic input sums straight into the interleaved (nz, nx, 2) IQ image.
-  const std::int64_t nz = cube.nz(), nx = cube.nx(), nch = cube.channels();
-  const Apodization apod(probe_, apod_params_);
-  const WeightContext ctx{apod, cube.grid};
-  Tensor iq({nz, nx, 2});
-  device::current().submit(
-      device::CommandEncoder()
-          .encode(device::DasApplyCmd{cube.real.raw(), cube.imag.raw(),
-                                      iq.raw(), nz, nx, nch, &ctx,
-                                      WeightContext::fill})
-          .finish());
-  return iq;
+Tensor das_beamform_lines(
+    std::span<const std::shared_ptr<const us::DasPlan>> plans,
+    std::span<const us::ChannelWorkspace> lines, bool analytic) {
+  TVBF_REQUIRE(!plans.empty() && plans.size() == lines.size(),
+               "fused DAS needs one plan per loaded acquisition");
+  Tensor sum, plane;
+  plans[0]->apply(lines[0], analytic, sum);
+  for (std::size_t i = 1; i < plans.size(); ++i) {
+    plans[i]->apply(lines[i], analytic, plane);
+    add_inplace(sum, plane);
+  }
+  if (plans.size() > 1)
+    sum = scale(sum, 1.0f / static_cast<float>(plans.size()));
+  return analytic ? sum : dsp::analytic_columns(sum);
 }
 
 }  // namespace tvbf::bf

@@ -2,7 +2,7 @@
 //
 // Every hot-path operation of the repo — the GEMM family behind the
 // tensor/nn/quant matmuls, the SAME-conv2d forward/backward kernels, the
-// ToF-plan gather and the DAS apply — is expressed as a plain-struct
+// ToF-plan gather and the fused DAS apply — is expressed as a plain-struct
 // command over raw pointers and dimensions. A CommandEncoder records
 // commands into a CommandList; a device::Device consumes the list, either
 // executing it (CpuDevice, AccelDevice) or pricing it (estimate_seconds,
@@ -111,20 +111,40 @@ struct TofGatherCmd {
   Interp interp = Interp::kLinear;
 };
 
-/// Weighted channel sum of a ToF cube (DAS apply). re/im are (nz, nx, nch)
-/// cube planes (im null for RF); out is (nz, nx) beamformed RF when im is
-/// null, interleaved (nz, nx, 2) IQ otherwise. Apodization weights stay
-/// with the caller: `weights(ctx, iz, ix, w)` must fill w with nch per-
-/// channel weights for that pixel (w is a reusable per-row scratch vector,
-/// mirroring the pre-refactor loop's allocation pattern).
+/// One active (pixel, channel) term of a baked DAS plan: the channel, its
+/// ToF entry (idx/frac, encoded exactly as TofGatherCmd's) and its receive
+/// apodization weight. Plans store only terms with a non-zero weight, per
+/// pixel in ascending channel order.
+struct DasEntry {
+  std::int32_t channel = 0;
+  std::int32_t idx = 0;
+  float frac = 0.0f;
+  float weight = 0.0f;
+};
+
+/// Fused DAS: per pixel, the weighted channel sum over the pixel's entries
+/// [offsets[p], offsets[p + 1]) of `entries` (nz * nx + 1 offsets,
+/// pixel-major). The input is either
+///   kLines: (nch, nsamples) contiguous channel lines, each term gathered
+///           inline through the TofGatherCmd encoding with `interp`; or
+///   kCube:  a (nz, nx, nch) ToF cube, each term read at its channel (the
+///           entries' idx/frac are ignored).
+/// re is the real/RF plane, im the imaginary plane or null. out is the
+/// (nz, nx) beamformed RF when im is null, interleaved (nz, nx, 2) IQ
+/// otherwise. Each pixel accumulates in double, in entry order.
 struct DasApplyCmd {
+  enum class Input { kLines, kCube };
+
+  Input input = Input::kLines;
+  const std::int64_t* offsets = nullptr;
+  const DasEntry* entries = nullptr;
   const float* re = nullptr;
   const float* im = nullptr;
   float* out = nullptr;
   std::int64_t nz = 0, nx = 0, nch = 0;
-  const void* ctx = nullptr;
-  void (*weights)(const void* ctx, std::int64_t iz, std::int64_t ix,
-                  std::vector<float>& w) = nullptr;
+  std::int64_t nsamples = 0;  ///< kLines only
+  Interp interp = Interp::kLinear;  ///< kLines only
+  std::int64_t num_entries = 0;  ///< offsets[nz * nx]; what the cost counts
 };
 
 // ---- Command list / encoder ------------------------------------------------

@@ -1,7 +1,6 @@
 #include "device/cpu_device.hpp"
 
 #include <algorithm>
-#include <vector>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -136,45 +135,59 @@ void run(const TofGatherCmd& cmd) {
   }, /*min_grain=*/1);
 }
 
-void run(const DasApplyCmd& cmd) {
-  TVBF_REQUIRE(cmd.re != nullptr && cmd.out != nullptr &&
-                   cmd.weights != nullptr,
-               "das apply command has null operands");
-  const std::int64_t nx = cmd.nx, nch = cmd.nch;
-  if (cmd.im == nullptr) {
-    parallel_for_each(0, static_cast<std::size_t>(cmd.nz),
-                      [&](std::size_t zi) {
-      const auto iz = static_cast<std::int64_t>(zi);
-      std::vector<float> w;
-      for (std::int64_t ix = 0; ix < nx; ++ix) {
-        cmd.weights(cmd.ctx, iz, ix, w);
-        const float* re = cmd.re + (iz * nx + ix) * nch;
-        double acc_re = 0.0;
-        for (std::int64_t e = 0; e < nch; ++e)
-          acc_re +=
-              static_cast<double>(w[static_cast<std::size_t>(e)]) * re[e];
-        cmd.out[iz * nx + ix] = static_cast<float>(acc_re);
-      }
-    }, /*min_grain=*/4);
-    return;
-  }
-  parallel_for_each(0, static_cast<std::size_t>(cmd.nz), [&](std::size_t zi) {
-    const auto iz = static_cast<std::int64_t>(zi);
-    std::vector<float> w;
-    for (std::int64_t ix = 0; ix < nx; ++ix) {
-      cmd.weights(cmd.ctx, iz, ix, w);
-      const float* re = cmd.re + (iz * nx + ix) * nch;
-      const float* im = cmd.im + (iz * nx + ix) * nch;
-      double acc_re = 0.0, acc_im = 0.0;
-      for (std::int64_t e = 0; e < nch; ++e) {
-        const auto we = static_cast<double>(w[static_cast<std::size_t>(e)]);
-        acc_re += we * re[e];
-        acc_im += we * im[e];
-      }
-      cmd.out[(iz * nx + ix) * 2] = static_cast<float>(acc_re);
-      cmd.out[(iz * nx + ix) * 2 + 1] = static_cast<float>(acc_im);
+// One pixel of DasApplyCmd: the weighted sum over its entries, in entry
+// order, accumulated in double exactly like the gather-then-sum loop it
+// fuses (a skipped zero-weight or out-of-range term adds an exact +-0).
+template <bool kLines, bool kIq>
+void das_pixel(const DasApplyCmd& cmd, std::int64_t p) {
+  const DasEntry* e = cmd.entries + cmd.offsets[p];
+  const DasEntry* end = cmd.entries + cmd.offsets[p + 1];
+  const std::int64_t row = kLines ? 0 : p * cmd.nch;
+  const std::int64_t stride = kLines ? cmd.nsamples : 1;
+  double acc_re = 0.0, acc_im = 0.0;
+  for (; e != end; ++e) {
+    const auto w = static_cast<double>(e->weight);
+    const std::int64_t at = row + e->channel * stride;
+    if constexpr (kLines) {
+      acc_re += w * gather(cmd.re + at, e->idx, e->frac, cmd.interp);
+      if constexpr (kIq)
+        acc_im += w * gather(cmd.im + at, e->idx, e->frac, cmd.interp);
+    } else {
+      acc_re += w * cmd.re[at];
+      if constexpr (kIq) acc_im += w * cmd.im[at];
     }
-  }, /*min_grain=*/4);
+  }
+  if constexpr (kIq) {
+    cmd.out[2 * p] = static_cast<float>(acc_re);
+    cmd.out[2 * p + 1] = static_cast<float>(acc_im);
+  } else {
+    cmd.out[p] = static_cast<float>(acc_re);
+  }
+}
+
+template <bool kLines, bool kIq>
+void das_rows(const DasApplyCmd& cmd) {
+  const std::int64_t nx = cmd.nx;
+  parallel_for_each(0, static_cast<std::size_t>(cmd.nz), [&](std::size_t zi) {
+    const auto p0 = static_cast<std::int64_t>(zi) * nx;
+    for (std::int64_t p = p0; p < p0 + nx; ++p) das_pixel<kLines, kIq>(cmd, p);
+  }, /*min_grain=*/1);
+}
+
+void run(const DasApplyCmd& cmd) {
+  TVBF_REQUIRE(cmd.offsets != nullptr && cmd.entries != nullptr &&
+                   cmd.re != nullptr && cmd.out != nullptr,
+               "das apply command has null operands");
+  const bool lines = cmd.input == DasApplyCmd::Input::kLines;
+  TVBF_REQUIRE(!lines || cmd.nsamples > 1,
+               "das apply over channel lines needs their sample count");
+  if (lines) {
+    if (cmd.im != nullptr) das_rows<true, true>(cmd);
+    else das_rows<true, false>(cmd);
+  } else {
+    if (cmd.im != nullptr) das_rows<false, true>(cmd);
+    else das_rows<false, false>(cmd);
+  }
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "device/cpu_device.hpp"
-#include "obs/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace tvbf::device {
@@ -64,16 +63,6 @@ void Device::submit(const CommandList& list) {
         static_cast<std::int64_t>(std::llround(measured_s * 1e9)));
     si.estimated_ns[kind]->add(
         static_cast<std::int64_t>(std::llround(estimated_s * 1e9)));
-    // A submit far over its cost-model estimate is a calibration outlier
-    // worth a post-mortem breadcrumb; the 50 µs floor keeps scheduler
-    // noise on micro-submits out of the ring.
-    if (measured_s > 2.0 * estimated_s && measured_s > 50e-6) {
-      obs::FlightRecorder::instance().record(
-          obs::EventKind::kDeviceOverEstimate, -1,
-          static_cast<std::int64_t>(std::llround(measured_s * 1e9)),
-          static_cast<std::int64_t>(std::llround(estimated_s * 1e9)),
-          command_kind_name(kind));
-    }
   } else {
     execute(list);
   }
@@ -114,8 +103,14 @@ std::int64_t command_macs(const Command& cmd) {
       return c.nz * c.nx * c.nch * taps * planes;
     }
     std::int64_t operator()(const DasApplyCmd& c) const {
+      // Active entries only: one weighted MAC each, plus the gather taps
+      // when the command samples channel lines inline; both planes.
+      const std::int64_t taps =
+          c.input == DasApplyCmd::Input::kLines
+              ? (c.interp == Interp::kCubic ? 4 : 2)
+              : 0;
       const std::int64_t planes = c.im != nullptr ? 2 : 1;
-      return c.nz * c.nx * c.nch * planes;
+      return c.num_entries * (taps + 1) * planes;
     }
   };
   return std::visit(Macs{}, cmd);

@@ -99,37 +99,52 @@ Tensor envelope_iq(const Tensor& iq) {
                "envelope_iq expects (nz, nx, 2), got " + to_string(iq.shape()));
   const std::int64_t nz = iq.dim(0), nx = iq.dim(1);
   Tensor out({nz, nx});
-  for (std::int64_t p = 0; p < nz * nx; ++p) {
-    const float i = iq.raw()[2 * p];
-    const float q = iq.raw()[2 * p + 1];
-    out.raw()[p] = std::sqrt(i * i + q * q);
-  }
+  parallel_for_each(0, static_cast<std::size_t>(nz), [&](std::size_t z) {
+    const auto p0 = static_cast<std::int64_t>(z) * nx;
+    for (std::int64_t p = p0; p < p0 + nx; ++p) {
+      const float i = iq.raw()[2 * p];
+      const float q = iq.raw()[2 * p + 1];
+      out.raw()[p] = std::sqrt(i * i + q * q);
+    }
+  }, /*min_grain=*/8);
   return out;
 }
 
 Tensor log_compress(const Tensor& env, double dynamic_range_db) {
   TVBF_REQUIRE(dynamic_range_db > 0.0, "dynamic range must be positive");
   TVBF_REQUIRE(env.size() > 0, "log_compress of empty image");
+  // Rows of the image (the last axis is a row); a rank-0/1 input is one.
+  const std::int64_t row = env.rank() >= 2 ? env.dim(env.rank() - 1)
+                                           : env.size();
+  const auto rows = static_cast<std::size_t>(env.size() / row);
+  // Per-row maxima, combined after: max is exact, so the peak is the
+  // serial one bit for bit at any pool size.
+  std::vector<float> row_peak(rows, 0.0f);
+  parallel_for_each(0, rows, [&](std::size_t r) {
+    float peak = 0.0f;
+    const float* v = env.raw() + static_cast<std::int64_t>(r) * row;
+    for (std::int64_t i = 0; i < row; ++i) {
+      TVBF_REQUIRE(v[i] >= 0.0f, "envelope values must be non-negative");
+      peak = std::max(peak, v[i]);
+    }
+    row_peak[r] = peak;
+  }, /*min_grain=*/8);
   float peak = 0.0f;
-  for (float v : env.data()) {
-    TVBF_REQUIRE(v >= 0.0f, "envelope values must be non-negative");
-    peak = std::max(peak, v);
-  }
+  for (const float p : row_peak) peak = std::max(peak, p);
+
   Tensor out(env.shape());
   const float floor_db = static_cast<float>(-dynamic_range_db);
-  if (peak == 0.0f) {
-    // Degenerate but valid (e.g. a fully zero acquisition): the whole image
-    // sits at the bottom of the dynamic range instead of crashing the
-    // pipeline.
-    for (std::int64_t i = 0; i < out.size(); ++i) out.raw()[i] = floor_db;
-    return out;
-  }
-  for (std::int64_t i = 0; i < env.size(); ++i) {
-    const float v = env.raw()[i];
-    const float db =
-        v > 0.0f ? 20.0f * std::log10(v / peak) : floor_db;
-    out.raw()[i] = std::clamp(db, floor_db, 0.0f);
-  }
+  parallel_for_each(0, rows, [&](std::size_t r) {
+    const std::int64_t begin = static_cast<std::int64_t>(r) * row;
+    for (std::int64_t i = begin; i < begin + row; ++i) {
+      const float v = env.raw()[i];
+      // An all-zero envelope (e.g. a silent acquisition) is degenerate but
+      // valid: the whole image sits at the bottom of the dynamic range.
+      const float db =
+          v > 0.0f ? 20.0f * std::log10(v / peak) : floor_db;
+      out.raw()[i] = std::clamp(db, floor_db, 0.0f);
+    }
+  }, /*min_grain=*/8);
   return out;
 }
 

@@ -1,6 +1,7 @@
 #include "models/dataset.hpp"
 
 #include "dsp/hilbert.hpp"
+#include "models/neural_beamformer.hpp"
 #include "us/plan_cache.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "us/tof.hpp"
@@ -18,9 +19,8 @@ TrainingFrame make_frame(const us::Probe& probe, const us::ImagingGrid& grid,
   // the whole corpus; only the per-frame sampling work remains.
   const auto plan = us::PlanCache::instance().get_for(acq, grid);
 
-  // Network input: RF-only ToF cube, normalized.
-  us::TofCube rf_cube = plan->apply(acq, /*analytic=*/false);
-  us::normalize_cube(rf_cube);
+  // Network input: RF-only ToF cube, normalized exactly as at inference.
+  const us::TofCube rf_cube = plan->apply(acq, /*analytic=*/false);
 
   // Label: MVDR on the analytic cube.
   const us::TofCube iq_cube = plan->apply(acq, /*analytic=*/true);
@@ -35,7 +35,7 @@ TrainingFrame make_frame(const us::Probe& probe, const us::ImagingGrid& grid,
   }
 
   TrainingFrame frame;
-  frame.input = std::move(rf_cube.real);
+  frame.input = normalized_input(rf_cube);
   const std::int64_t nz = grid.nz, nx = grid.nx;
   frame.target_rf = Tensor({nz, nx});
   for (std::int64_t p = 0; p < nz * nx; ++p)

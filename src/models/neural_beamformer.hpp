@@ -40,8 +40,9 @@ class FcnnBeamformer : public bf::Beamformer {
 };
 
 /// Normalized copy of the cube's RF data, scaled by 1 / max|x| (shared by
-/// the adapters; bit-identical to us::normalize_cube, which the training-set
-/// builder runs). Max and copy-and-scale are threaded over the pool.
+/// the adapters and the training-set builder, so a model trains on exactly
+/// the input it serves). Max and copy-and-scale are threaded over the pool;
+/// an all-zero cube is copied as is.
 Tensor normalized_input(const us::TofCube& cube);
 
 /// Converts a beamformed RF image (nz, nx) to IQ (nz, nx, 2) via per-column

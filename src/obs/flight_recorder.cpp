@@ -18,7 +18,6 @@ const char* event_kind_name(EventKind kind) {
     case EventKind::kSessionAdmit: return "session_admit";
     case EventKind::kSessionRetire: return "session_retire";
     case EventKind::kFrameDrop: return "frame_drop";
-    case EventKind::kDeviceOverEstimate: return "device_over_estimate";
     case EventKind::kWatchdogObserve: return "watchdog_observe";
     case EventKind::kWatchdogTrip: return "watchdog_trip";
     case EventKind::kMark: return "mark";

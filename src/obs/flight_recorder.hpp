@@ -30,7 +30,6 @@ enum class EventKind : std::uint8_t {
   kSessionAdmit = 0,
   kSessionRetire,
   kFrameDrop,
-  kDeviceOverEstimate,
   kWatchdogObserve,
   kWatchdogTrip,
   kMark,  ///< free-form caller annotation

@@ -69,6 +69,7 @@ FrameProcessor::FrameProcessor(std::shared_ptr<const bf::Beamformer> beamformer,
       device_(config_.device != nullptr ? config_.device.get()
                                         : &device::cpu()) {
   TVBF_REQUIRE(beamformer_ != nullptr, "frame processor needs a beamformer");
+  das_ = dynamic_cast<const bf::DasBeamformer*>(beamformer_.get());
   config_.grid.validate();
   TVBF_REQUIRE(config_.dynamic_range_db > 0.0,
                "dynamic range must be positive");
@@ -80,6 +81,16 @@ void FrameProcessor::prepare(const Frame& frame) {
   angle_tof_s_.assign(num_angles_, 0.0);
   workspaces_.resize(num_angles_);
   plans_.assign(num_angles_, nullptr);
+  das_plans_.assign(num_angles_, nullptr);
+  slots_.clear();
+  if (das_ != nullptr) {
+    if (config_.use_plan_cache) {
+      for (std::size_t i = 0; i < num_angles_; ++i)
+        das_plans_[i] = das_->plan_for(frame.acquisition(i), config_.grid,
+                                       config_.tof.interp);
+    }
+    return;
+  }
   if (config_.use_plan_cache) {
     // One cached plan per steering angle; holding the shared_ptrs keeps the
     // stream's plans alive even if a larger working set evicts them.
@@ -87,7 +98,6 @@ void FrameProcessor::prepare(const Frame& frame) {
       plans_[i] = us::PlanCache::instance().get_for(
           frame.acquisition(i), config_.grid, config_.tof.interp);
   }
-  slots_.clear();
   if (num_angles_ > 1) {
     // Per-angle destination cubes, recycled through the arena frame after
     // frame (apply() reuses correctly-shaped buffers without allocating).
@@ -108,6 +118,18 @@ void FrameProcessor::apply_tof_angle(const Frame& frame, std::size_t angle) {
   // (the plan's gather command) through this stream's backend.
   const device::ScopedDevice scope(*device_);
   Timer t;
+  if (das_ != nullptr) {
+    // Uncached streams pay the plan build every frame, here in the ToF
+    // stage like us::tof_correct's geometry pass.
+    if (!das_plans_[angle])
+      das_plans_[angle] = das_->plan_for(frame.acquisition(angle),
+                                         config_.grid, config_.tof.interp,
+                                         /*cached=*/false);
+    das_plans_[angle]->load(frame.acquisition(angle), config_.tof.analytic,
+                            workspaces_[angle]);
+    angle_tof_s_[angle] = t.seconds();
+    return;
+  }
   us::TofCube& target = num_angles_ > 1 ? slots_[angle] : cube_;
   if (config_.use_plan_cache) {
     plans_[angle]->apply(frame.acquisition(angle), config_.tof.analytic,
@@ -123,7 +145,7 @@ const us::TofCube& FrameProcessor::compound() {
   Timer t;
   times_.tof_s = 0.0;
   for (const double s : angle_tof_s_) times_.tof_s += s;
-  if (num_angles_ > 1) {
+  if (num_angles_ > 1 && das_ == nullptr) {
     std::vector<const us::TofCube*> cubes;
     cubes.reserve(slots_.size());
     for (const auto& slot : slots_) cubes.push_back(&slot);
@@ -141,7 +163,9 @@ const us::TofCube& FrameProcessor::compound() {
 void FrameProcessor::beamform() {
   const device::ScopedDevice scope(*device_);
   Timer t;
-  iq_ = beamformer_->beamform(cube_);
+  iq_ = das_ != nullptr ? bf::das_beamform_lines(das_plans_, workspaces_,
+                                                 config_.tof.analytic)
+                        : beamformer_->beamform(cube_);
   times_.beamform_s = t.seconds();
 }
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "beamform/beamformer.hpp"
+#include "beamform/das.hpp"
 #include "graph/arena.hpp"
 #include "runtime/frame_source.hpp"
 #include "us/tof_plan.hpp"
@@ -99,6 +100,13 @@ struct FrameOutput {
 /// one FrameProcessor internally; the serving layer (src/serve) owns one
 /// per session and steps it from the session's frame graph.
 ///
+/// A DasBeamformer stream (decided once, at construction) runs DAS fused
+/// instead: its per-angle plans are baked DAS plans, apply_tof_angle() only
+/// loads the channel lines, compound() is a no-op and beamform() gathers,
+/// weighs and sums every angle in one pass per angle — no cube, no slots.
+/// Output is bit-identical to tof_correct + DasBeamformer::beamform for
+/// one angle and to bf::compound_acquisitions for several.
+///
 /// Stepping is exposed at graph-node granularity so a frame graph can run
 /// the stages by readiness: prepare() latches one frame's plans and slots,
 /// then apply_tof_angle() is safe to call concurrently for DISTINCT angle
@@ -134,13 +142,15 @@ class FrameProcessor {
   void prepare(const Frame& frame);
 
   /// ToF-corrects acquisition `angle` of the prepared frame into its slot
-  /// (or straight into the processor cube for single-angle frames).
-  /// Thread-safe across distinct angles of one prepared frame.
+  /// (or straight into the processor cube for single-angle frames); DAS
+  /// streams only load the angle's channel lines. Thread-safe across
+  /// distinct angles of one prepared frame.
   void apply_tof_angle(const Frame& frame, std::size_t angle);
 
   /// Folds the per-angle slots into the processor cube (coherent mean) and
-  /// releases the slots back to the arena. Single-angle: no-op on the
-  /// data. Returns the compounded cube.
+  /// releases the slots back to the arena. Single-angle and DAS streams:
+  /// no-op on the data (a DAS stream's cube stays empty). Returns the
+  /// compounded cube.
   const us::TofCube& compound();
 
   /// Runs the beamformer on the compounded cube (stores the IQ image).
@@ -162,6 +172,8 @@ class FrameProcessor {
   std::shared_ptr<const bf::Beamformer> beamformer_;
   PipelineConfig config_;
   device::Device* device_ = nullptr;  ///< resolved once in the constructor
+  /// The beamformer when it is DAS (fused path), resolved once.
+  const bf::DasBeamformer* das_ = nullptr;
 
   // Frame state. The ToF cubes, channel workspaces and angle slots — the
   // large buffers — are reused across frames (slots recycle through the
@@ -169,6 +181,7 @@ class FrameProcessor {
   // image-sized tensors per frame.
   std::size_t num_angles_ = 1;
   std::vector<std::shared_ptr<const us::TofPlan>> plans_;
+  std::vector<std::shared_ptr<const us::DasPlan>> das_plans_;
   std::vector<us::ChannelWorkspace> workspaces_;
   std::vector<us::TofCube> slots_;  ///< per-angle cubes (multi-angle only)
   graph::BufferArena arena_;

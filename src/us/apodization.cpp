@@ -1,12 +1,12 @@
-#include "beamform/apodization.hpp"
+#include "us/apodization.hpp"
 
 #include <cmath>
 
 #include "common/error.hpp"
 
-namespace tvbf::bf {
+namespace tvbf::us {
 
-Apodization::Apodization(const us::Probe& probe,
+Apodization::Apodization(const Probe& probe,
                          const ApodizationParams& params)
     : element_x_(probe.element_positions()),
       window_(params.window),
@@ -52,4 +52,4 @@ std::vector<float> Apodization::weights(double x, double z) const {
   return out;
 }
 
-}  // namespace tvbf::bf
+}  // namespace tvbf::us

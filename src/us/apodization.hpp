@@ -2,7 +2,9 @@
 //
 // DAS with a fixed data-independent window is exactly the baseline the paper
 // criticizes; the f-number controlled expanding aperture is the standard
-// PICMUS receive apodization.
+// PICMUS receive apodization. The weights are pure probe and grid geometry,
+// which is why they live in us/: the baked DAS plan (us/das_plan.hpp)
+// evaluates them once per plan instead of once per frame.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +14,7 @@
 #include "us/grid.hpp"
 #include "us/probe.hpp"
 
-namespace tvbf::bf {
+namespace tvbf::us {
 
 /// Apodization configuration. The default (boxcar, f/1.75) is the PICMUS
 /// DAS baseline — the data-independent apodization the paper's Section I
@@ -22,12 +24,14 @@ struct ApodizationParams {
   /// Receive f-number: aperture half-width at depth z is z / (2 * f_number).
   /// 0 disables dynamic aperture (all elements, full window).
   double f_number = 1.75;
+
+  bool operator==(const ApodizationParams&) const = default;
 };
 
 /// Per-pixel receive apodization weights.
 class Apodization {
  public:
-  Apodization(const us::Probe& probe, const ApodizationParams& params);
+  Apodization(const Probe& probe, const ApodizationParams& params);
 
   /// Weights for all channels at pixel (x, z); length == num_elements.
   /// Weights are normalized to sum to 1 (unbiased amplitude estimate).
@@ -43,4 +47,4 @@ class Apodization {
   double f_number_;
 };
 
-}  // namespace tvbf::bf
+}  // namespace tvbf::us

@@ -4,6 +4,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -34,8 +35,34 @@ CacheInstruments& cache_instruments() {
   return instruments;
 }
 
+/// One cache slot's identity: a dense ToF plan (no apodization) or a baked
+/// DAS plan (with its apodization).
+struct CacheKey {
+  TofPlanKey tof;
+  std::optional<ApodizationParams> apod;
+
+  bool operator==(const CacheKey&) const = default;
+};
+
 struct KeyHasher {
-  std::size_t operator()(const TofPlanKey& k) const { return hash_key(k); }
+  std::size_t operator()(const CacheKey& k) const {
+    std::size_t h = hash_key(k.tof);
+    if (k.apod) {
+      h ^= std::hash<double>{}(k.apod->f_number) + 0x9e3779b97f4a7c15ull +
+           (h << 6) + (h >> 2);
+      h ^= static_cast<std::size_t>(k.apod->window) + 0x9e3779b97f4a7c15ull +
+           (h << 6) + (h >> 2);
+    }
+    return h;
+  }
+};
+
+/// A resident plan of either kind.
+struct CachedPlan {
+  std::shared_ptr<const TofPlan> tof{};
+  std::shared_ptr<const DasPlan> das{};
+
+  std::size_t bytes() const { return tof ? tof->bytes() : das->bytes(); }
 };
 
 /// Single-flight latch for one in-progress plan build. The builder fills
@@ -45,13 +72,13 @@ struct InFlight {
   std::mutex mu;
   std::condition_variable cv;
   bool done = false;
-  std::shared_ptr<const TofPlan> plan;
+  CachedPlan plan;
   std::exception_ptr error;
 };
 }  // namespace
 
 struct PlanCache::Impl {
-  using Entry = std::pair<TofPlanKey, std::shared_ptr<const TofPlan>>;
+  using Entry = std::pair<CacheKey, CachedPlan>;
 
   mutable std::mutex mu;
   std::size_t capacity = kDefaultCapacityBytes;
@@ -59,64 +86,44 @@ struct PlanCache::Impl {
   std::uint64_t hits = 0, misses = 0, evictions = 0;
   std::uint64_t duplicate_builds = 0;
   std::list<Entry> lru;  // front = most recently used
-  std::unordered_map<TofPlanKey, std::list<Entry>::iterator, KeyHasher> map;
+  std::unordered_map<CacheKey, std::list<Entry>::iterator, KeyHasher> map;
   /// Builds in flight, keyed like the cache itself.
-  std::unordered_map<TofPlanKey, std::shared_ptr<InFlight>, KeyHasher>
+  std::unordered_map<CacheKey, std::shared_ptr<InFlight>, KeyHasher>
       building;
 
   // Evicts from the back until the budget is met. Caller holds mu.
   void evict_to_fit() {
     while (bytes > capacity && !lru.empty()) {
       const Entry& victim = lru.back();
-      bytes -= victim.second->bytes();
+      bytes -= victim.second.bytes();
       map.erase(victim.first);
       lru.pop_back();
       ++evictions;
       cache_instruments().evictions.add();
     }
   }
+
+  /// The resident plan under `key`, or the one `build()` makes on a miss.
+  template <class Build>
+  CachedPlan get(const CacheKey& key, const Build& build);
 };
 
-PlanCache::PlanCache() : impl_(std::make_unique<Impl>()) {}
-PlanCache::~PlanCache() = default;
-
-PlanCache& PlanCache::instance() {
-  static PlanCache cache;
-  return cache;
-}
-
-std::shared_ptr<const TofPlan> PlanCache::get(const us::Probe& probe,
-                                              const us::ImagingGrid& grid,
-                                              double steering_angle_rad,
-                                              double t0,
-                                              std::int64_t n_samples,
-                                              dsp::Interp interp) {
-  TofPlanKey key;
-  key.num_elements = probe.num_elements;
-  key.pitch = probe.pitch;
-  key.sampling_frequency = probe.sampling_frequency;
-  key.sound_speed = probe.sound_speed;
-  key.steering_angle_rad = steering_angle_rad;
-  key.t0 = t0;
-  key.n_samples = n_samples;
-  key.grid = grid;
-  key.interp = interp;
-
+template <class Build>
+CachedPlan PlanCache::Impl::get(const CacheKey& key, const Build& build) {
   std::shared_ptr<InFlight> flight;
   bool builder = false;
   {
-    const std::lock_guard<std::mutex> lock(impl_->mu);
-    if (const auto it = impl_->map.find(key); it != impl_->map.end()) {
-      ++impl_->hits;
+    const std::lock_guard<std::mutex> lock(mu);
+    if (const auto it = map.find(key); it != map.end()) {
+      ++hits;
       cache_instruments().hits.add();
-      impl_->lru.splice(impl_->lru.begin(), impl_->lru, it->second);
+      lru.splice(lru.begin(), lru, it->second);
       return it->second->second;
     }
-    ++impl_->misses;
+    ++misses;
     cache_instruments().misses.add();
-    if (const auto it = impl_->building.find(key);
-        it != impl_->building.end()) {
-      ++impl_->duplicate_builds;  // coalesced onto the in-flight build
+    if (const auto it = building.find(key); it != building.end()) {
+      ++duplicate_builds;  // coalesced onto the in-flight build
       cache_instruments().duplicate_builds.add();
       flight = it->second;
     } else {
@@ -124,7 +131,7 @@ std::shared_ptr<const TofPlan> PlanCache::get(const us::Probe& probe,
       // allocation throws, nothing is inserted and a later get() simply
       // retries the build (a null latch in the map would poison the key).
       flight = std::make_shared<InFlight>();
-      impl_->building.emplace(key, flight);
+      building.emplace(key, flight);
       builder = true;
     }
   }
@@ -140,16 +147,15 @@ std::shared_ptr<const TofPlan> PlanCache::get(const us::Probe& probe,
 
   // Built outside the cache lock so a slow paper-scale geometry pass never
   // stalls O(1) hits on other keys.
-  std::shared_ptr<const TofPlan> plan;
+  CachedPlan plan;
   try {
-    plan = std::make_shared<const TofPlan>(TofPlan::build(
-        probe, grid, steering_angle_rad, t0, n_samples, interp));
+    plan = build();
   } catch (...) {
     {
-      const std::lock_guard<std::mutex> lock(impl_->mu);
-      if (const auto it = impl_->building.find(key);
-          it != impl_->building.end() && it->second == flight)
-        impl_->building.erase(it);
+      const std::lock_guard<std::mutex> lock(mu);
+      if (const auto it = building.find(key);
+          it != building.end() && it->second == flight)
+        building.erase(it);
     }
     {
       const std::lock_guard<std::mutex> done_lock(flight->mu);
@@ -160,19 +166,18 @@ std::shared_ptr<const TofPlan> PlanCache::get(const us::Probe& probe,
     throw;
   }
   {
-    const std::lock_guard<std::mutex> lock(impl_->mu);
+    const std::lock_guard<std::mutex> lock(mu);
     // Erase only our own latch: clear() may have dropped it and a later
     // get() may have started a fresh build under the same key.
-    if (const auto it = impl_->building.find(key);
-        it != impl_->building.end() && it->second == flight)
-      impl_->building.erase(it);
-    if (const std::size_t plan_bytes = plan->bytes();
-        plan_bytes <= impl_->capacity &&
-        impl_->map.find(key) == impl_->map.end()) {
-      impl_->lru.emplace_front(key, plan);
-      impl_->map.emplace(key, impl_->lru.begin());
-      impl_->bytes += plan_bytes;
-      impl_->evict_to_fit();
+    if (const auto it = building.find(key);
+        it != building.end() && it->second == flight)
+      building.erase(it);
+    if (const std::size_t plan_bytes = plan.bytes();
+        plan_bytes <= capacity && map.find(key) == map.end()) {
+      lru.emplace_front(key, plan);
+      map.emplace(key, lru.begin());
+      bytes += plan_bytes;
+      evict_to_fit();
     }
   }
   {
@@ -184,6 +189,34 @@ std::shared_ptr<const TofPlan> PlanCache::get(const us::Probe& probe,
   return plan;
 }
 
+PlanCache::PlanCache() : impl_(std::make_unique<Impl>()) {}
+PlanCache::~PlanCache() = default;
+
+PlanCache& PlanCache::instance() {
+  static PlanCache cache;
+  return cache;
+}
+
+std::shared_ptr<const TofPlan> PlanCache::get(const us::Probe& probe,
+                                              const us::ImagingGrid& grid,
+                                              double steering_angle_rad,
+                                              double t0,
+                                              std::int64_t n_samples,
+                                              dsp::Interp interp) {
+  const CacheKey key{detail::make_key(probe, grid, steering_angle_rad, t0,
+                                      n_samples, interp),
+                     std::nullopt};
+  return impl_
+      ->get(key,
+            [&] {
+              return CachedPlan{.tof = std::make_shared<const TofPlan>(
+                                    TofPlan::build(probe, grid,
+                                                   steering_angle_rad, t0,
+                                                   n_samples, interp))};
+            })
+      .tof;
+}
+
 std::shared_ptr<const TofPlan> PlanCache::get_for(const us::Acquisition& acq,
                                                   const us::ImagingGrid& grid,
                                                   dsp::Interp interp) {
@@ -193,6 +226,28 @@ std::shared_ptr<const TofPlan> PlanCache::get_for(const us::Acquisition& acq,
                "RF channel count does not match the probe");
   return get(acq.probe, grid, acq.steering_angle_rad, acq.t0,
              acq.num_samples(), interp);
+}
+
+std::shared_ptr<const DasPlan> PlanCache::get_das_for(
+    const us::Acquisition& acq, const us::ImagingGrid& grid,
+    dsp::Interp interp, const ApodizationParams& apod) {
+  TVBF_REQUIRE(acq.rf.rank() == 2 && acq.num_samples() > 1,
+               "acquisition holds no RF data");
+  TVBF_REQUIRE(acq.num_channels() == acq.probe.num_elements,
+               "RF channel count does not match the probe");
+  const CacheKey key{detail::make_key(acq.probe, grid, acq.steering_angle_rad,
+                                      acq.t0, acq.num_samples(), interp),
+                     apod};
+  return impl_
+      ->get(key,
+            [&] {
+              return CachedPlan{.das = std::make_shared<const DasPlan>(
+                                    DasPlan::build(acq.probe, grid,
+                                                   acq.steering_angle_rad,
+                                                   acq.t0, acq.num_samples(),
+                                                   interp, apod))};
+            })
+      .das;
 }
 
 PlanCache::Stats PlanCache::stats() const {

@@ -1,10 +1,12 @@
-// Process-wide LRU cache of ToF plans.
+// Process-wide LRU cache of ToF plans and baked DAS plans.
 //
 // Plans are pure functions of their key, so one global cache serves every
 // consumer: the streaming pipeline (one plan per cine sequence), coherent
 // compounding (one plan per steering angle, reused across frames) and
 // training-set generation (one plan for the whole corpus, applied to both
-// the RF and the analytic cube of every frame). Entries are evicted
+// the RF and the analytic cube of every frame). Dense ToF plans are keyed
+// on TofPlanKey, baked DAS plans on TofPlanKey + ApodizationParams; both
+// kinds share one byte budget and one set of counters. Entries are evicted
 // least-recently-used by byte footprint; handed-out shared_ptrs keep
 // evicted plans alive for callers still holding them.
 #pragma once
@@ -12,11 +14,12 @@
 #include <cstdint>
 #include <memory>
 
+#include "us/das_plan.hpp"
 #include "us/tof_plan.hpp"
 
 namespace tvbf::us {
 
-/// Global ToF-plan cache. All methods are thread-safe; a miss builds the
+/// Global plan cache. All methods are thread-safe; a miss builds the
 /// plan outside the cache lock (hits on other keys are never stalled by a
 /// build). Builds are single-flight per key: concurrent misses on one key
 /// coalesce onto the first caller's build instead of duplicating the
@@ -56,6 +59,12 @@ class PlanCache {
   std::shared_ptr<const TofPlan> get_for(
       const us::Acquisition& acq, const us::ImagingGrid& grid,
       dsp::Interp interp = dsp::Interp::kLinear);
+
+  /// The baked DAS plan for the key plus `apod`, built on a miss (never
+  /// through the dense plan: a DAS-only stream holds no dense plan).
+  std::shared_ptr<const DasPlan> get_das_for(
+      const us::Acquisition& acq, const us::ImagingGrid& grid,
+      dsp::Interp interp, const ApodizationParams& apod);
 
   Stats stats() const;
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "us/tof_plan.hpp"
-#include "tensor/tensor_ops.hpp"
 
 namespace tvbf::us {
 
@@ -66,17 +65,6 @@ TofCube tof_correct(const Acquisition& acq, const ImagingGrid& grid,
   // across frames; results are identical either way.
   const us::TofPlan plan = us::TofPlan::build_for(acq, grid, params.interp);
   return plan.apply(acq, params.analytic);
-}
-
-float normalize_cube(TofCube& cube) {
-  float m = max_abs(cube.real);
-  if (cube.is_analytic()) m = std::max(m, max_abs(cube.imag));
-  if (m == 0.0f) return 0.0f;
-  const float inv = 1.0f / m;
-  for (auto& v : cube.real.data()) v *= inv;
-  if (cube.is_analytic())
-    for (auto& v : cube.imag.data()) v *= inv;
-  return m;
 }
 
 }  // namespace tvbf::us

@@ -47,9 +47,4 @@ double two_way_delay(double x, double z, double xe, double sin_theta,
 TofCube tof_correct(const Acquisition& acq, const ImagingGrid& grid,
                     const TofParams& params = {});
 
-/// Normalizes cube data (real and imag jointly) to [-1, 1] by the max
-/// absolute value, in place; returns the scale that was divided out.
-/// A zero cube is left untouched (returns 0).
-float normalize_cube(TofCube& cube);
-
 }  // namespace tvbf::us

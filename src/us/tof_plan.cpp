@@ -21,8 +21,21 @@ using detail::kTofOutOfRange;
 static_assert(kTofOutOfRange == device::TofGatherCmd::kOutOfRange);
 static_assert(kTofLinearBias == device::TofGatherCmd::kLinearBias);
 
-// Encodes the fractional sample position `t` into a plan entry, mirroring
-// the boundary conventions of dsp::interp_linear / dsp::interp_cubic
+std::size_t hash_combine(std::size_t seed, std::size_t v) {
+  return seed ^ (v + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2));
+}
+
+std::size_t hash_double(double v) {
+  // Normalize -0.0 so equal keys hash equally.
+  if (v == 0.0) v = 0.0;
+  return std::hash<std::uint64_t>{}(std::bit_cast<std::uint64_t>(v));
+}
+
+}  // namespace
+
+namespace detail {
+
+// Mirrors the boundary conventions of dsp::interp_linear / dsp::interp_cubic
 // exactly: outside [0, n-1] the sample is zero; cubic falls back to linear
 // near the edges; t landing on the last sample reads it via frac == 1 so
 // the gather never touches x[n] (n >= 2 is guaranteed by build()).
@@ -51,17 +64,30 @@ void encode_entry(double t, std::int64_t n, dsp::Interp interp,
   frac = f;
 }
 
-std::size_t hash_combine(std::size_t seed, std::size_t v) {
-  return seed ^ (v + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2));
+PlaneWave::PlaneWave(const us::Probe& probe, double steering_angle_rad)
+    : xs(probe.element_positions()),
+      sin_th(std::sin(steering_angle_rad)),
+      cos_th(std::cos(steering_angle_rad)),
+      tx_offset(sin_th >= 0.0 ? xs.front() * sin_th : xs.back() * sin_th),
+      sound_speed(probe.sound_speed) {}
+
+TofPlanKey make_key(const us::Probe& probe, const us::ImagingGrid& grid,
+                    double steering_angle_rad, double t0,
+                    std::int64_t n_samples, dsp::Interp interp) {
+  TofPlanKey key;
+  key.num_elements = probe.num_elements;
+  key.pitch = probe.pitch;
+  key.sampling_frequency = probe.sampling_frequency;
+  key.sound_speed = probe.sound_speed;
+  key.steering_angle_rad = steering_angle_rad;
+  key.t0 = t0;
+  key.n_samples = n_samples;
+  key.grid = grid;
+  key.interp = interp;
+  return key;
 }
 
-std::size_t hash_double(double v) {
-  // Normalize -0.0 so equal keys hash equally.
-  if (v == 0.0) v = 0.0;
-  return std::hash<std::uint64_t>{}(std::bit_cast<std::uint64_t>(v));
-}
-
-}  // namespace
+}  // namespace detail
 
 bool TofPlanKey::operator==(const TofPlanKey& o) const {
   return num_elements == o.num_elements && pitch == o.pitch &&
@@ -91,87 +117,25 @@ std::size_t hash_key(const TofPlanKey& key) {
   return hash_combine(h, static_cast<std::size_t>(key.interp));
 }
 
-TofPlan TofPlan::build(const us::Probe& probe, const us::ImagingGrid& grid,
-                       double steering_angle_rad, double t0,
-                       std::int64_t n_samples, dsp::Interp interp) {
-  probe.validate();
-  grid.validate();
-  TVBF_REQUIRE(n_samples > 1, "ToF plan needs more than one RF sample");
-
-  TofPlan plan;
-  plan.key_.num_elements = probe.num_elements;
-  plan.key_.pitch = probe.pitch;
-  plan.key_.sampling_frequency = probe.sampling_frequency;
-  plan.key_.sound_speed = probe.sound_speed;
-  plan.key_.steering_angle_rad = steering_angle_rad;
-  plan.key_.t0 = t0;
-  plan.key_.n_samples = n_samples;
-  plan.key_.grid = grid;
-  plan.key_.interp = interp;
-
-  const std::int64_t n_ch = probe.num_elements;
-  const double fs = probe.sampling_frequency;
-  const double c = probe.sound_speed;
-  const auto xs = probe.element_positions();
-  const double sin_th = std::sin(steering_angle_rad);
-  const double cos_th = std::cos(steering_angle_rad);
-  const double tx_offset =
-      sin_th >= 0.0 ? xs.front() * sin_th : xs.back() * sin_th;
-
-  plan.idx_.resize(static_cast<std::size_t>(grid.num_pixels() * n_ch));
-  plan.frac_.resize(plan.idx_.size());
-
-  parallel_for_each(0, static_cast<std::size_t>(grid.nz), [&](std::size_t zi) {
-    const auto iz = static_cast<std::int64_t>(zi);
-    const double z = grid.z_at(iz);
-    for (std::int64_t ix = 0; ix < grid.nx; ++ix) {
-      const double x = grid.x_at(ix);
-      const std::size_t row =
-          static_cast<std::size_t>((iz * grid.nx + ix) * n_ch);
-      for (std::int64_t e = 0; e < n_ch; ++e) {
-        const double tau = us::two_way_delay(
-            x, z, xs[static_cast<std::size_t>(e)], sin_th, cos_th, tx_offset,
-            c);
-        encode_entry((tau - t0) * fs, n_samples, interp,
-                     plan.idx_[row + static_cast<std::size_t>(e)],
-                     plan.frac_[row + static_cast<std::size_t>(e)]);
-      }
-    }
-  }, /*min_grain=*/1);
-  return plan;
-}
-
-TofPlan TofPlan::build_for(const us::Acquisition& acq,
-                           const us::ImagingGrid& grid, dsp::Interp interp) {
-  TVBF_REQUIRE(acq.rf.rank() == 2 && acq.num_samples() > 1,
-               "acquisition holds no RF data");
-  TVBF_REQUIRE(acq.num_channels() == acq.probe.num_elements,
-               "RF channel count does not match the probe");
-  return build(acq.probe, grid, acq.steering_angle_rad, acq.t0,
-               acq.num_samples(), interp);
-}
-
-void TofPlan::apply(const us::Acquisition& acq, bool analytic,
-                    us::TofCube& out, ChannelWorkspace* workspace) const {
+void TofPlanKey::require_matches(const us::Acquisition& acq) const {
   TVBF_REQUIRE(acq.rf.rank() == 2, "acquisition holds no RF data");
-  TVBF_REQUIRE(acq.num_samples() == key_.n_samples &&
-                   acq.num_channels() == key_.num_elements,
+  TVBF_REQUIRE(acq.num_samples() == n_samples &&
+                   acq.num_channels() == num_elements,
                "acquisition shape does not match the plan");
-  TVBF_REQUIRE(acq.probe.num_elements == key_.num_elements &&
-                   acq.probe.pitch == key_.pitch &&
-                   acq.probe.sampling_frequency == key_.sampling_frequency &&
-                   acq.probe.sound_speed == key_.sound_speed,
+  TVBF_REQUIRE(acq.probe.num_elements == num_elements &&
+                   acq.probe.pitch == pitch &&
+                   acq.probe.sampling_frequency == sampling_frequency &&
+                   acq.probe.sound_speed == sound_speed,
                "acquisition probe does not match the plan");
-  TVBF_REQUIRE(acq.steering_angle_rad == key_.steering_angle_rad &&
-                   acq.t0 == key_.t0,
+  TVBF_REQUIRE(acq.steering_angle_rad == steering_angle_rad && acq.t0 == t0,
                "acquisition steering/t0 does not match the plan");
+}
 
-  const std::int64_t n = key_.n_samples;
-  const std::int64_t n_ch = key_.num_elements;
-  const us::ImagingGrid& grid = key_.grid;
-
-  ChannelWorkspace local;
-  ChannelWorkspace& ws = workspace != nullptr ? *workspace : local;
+void load_channels(const us::Acquisition& acq, bool analytic,
+                   ChannelWorkspace& ws) {
+  TVBF_REQUIRE(acq.rf.rank() == 2, "acquisition holds no RF data");
+  const std::int64_t n = acq.num_samples();
+  const std::int64_t n_ch = acq.num_channels();
   ws.re.resize(static_cast<std::size_t>(n_ch * n));
   if (analytic) ws.im.resize(static_cast<std::size_t>(n_ch * n));
 
@@ -191,6 +155,63 @@ void TofPlan::apply(const us::Acquisition& acq, bool analytic,
       }
     }
   }, /*min_grain=*/1);
+}
+
+TofPlan TofPlan::build(const us::Probe& probe, const us::ImagingGrid& grid,
+                       double steering_angle_rad, double t0,
+                       std::int64_t n_samples, dsp::Interp interp) {
+  probe.validate();
+  grid.validate();
+  TVBF_REQUIRE(n_samples > 1, "ToF plan needs more than one RF sample");
+
+  TofPlan plan;
+  plan.key_ = detail::make_key(probe, grid, steering_angle_rad, t0,
+                               n_samples, interp);
+  const std::int64_t n_ch = probe.num_elements;
+  const double fs = probe.sampling_frequency;
+  const detail::PlaneWave wave(probe, steering_angle_rad);
+
+  plan.idx_.resize(static_cast<std::size_t>(grid.num_pixels() * n_ch));
+  plan.frac_.resize(plan.idx_.size());
+
+  parallel_for_each(0, static_cast<std::size_t>(grid.nz), [&](std::size_t zi) {
+    const auto iz = static_cast<std::int64_t>(zi);
+    const double z = grid.z_at(iz);
+    for (std::int64_t ix = 0; ix < grid.nx; ++ix) {
+      const double x = grid.x_at(ix);
+      const std::size_t row =
+          static_cast<std::size_t>((iz * grid.nx + ix) * n_ch);
+      for (std::int64_t e = 0; e < n_ch; ++e) {
+        detail::encode_entry((wave.delay(x, z, e) - t0) * fs, n_samples,
+                             interp,
+                             plan.idx_[row + static_cast<std::size_t>(e)],
+                             plan.frac_[row + static_cast<std::size_t>(e)]);
+      }
+    }
+  }, /*min_grain=*/1);
+  return plan;
+}
+
+TofPlan TofPlan::build_for(const us::Acquisition& acq,
+                           const us::ImagingGrid& grid, dsp::Interp interp) {
+  TVBF_REQUIRE(acq.rf.rank() == 2 && acq.num_samples() > 1,
+               "acquisition holds no RF data");
+  TVBF_REQUIRE(acq.num_channels() == acq.probe.num_elements,
+               "RF channel count does not match the probe");
+  return build(acq.probe, grid, acq.steering_angle_rad, acq.t0,
+               acq.num_samples(), interp);
+}
+
+void TofPlan::apply(const us::Acquisition& acq, bool analytic,
+                    us::TofCube& out, ChannelWorkspace* workspace) const {
+  key_.require_matches(acq);
+  const std::int64_t n = key_.n_samples;
+  const std::int64_t n_ch = key_.num_elements;
+  const us::ImagingGrid& grid = key_.grid;
+
+  ChannelWorkspace local;
+  ChannelWorkspace& ws = workspace != nullptr ? *workspace : local;
+  load_channels(acq, analytic, ws);
 
   out.grid = grid;
   const Shape cube_shape{grid.nz, grid.nx, n_ch};

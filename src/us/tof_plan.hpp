@@ -20,12 +20,6 @@
 
 namespace tvbf::us {
 
-namespace detail {
-/// Plan-entry sentinels shared by the encode (build) and gather (apply)
-/// sides — see the idx_ encoding comment on TofPlan.
-inline constexpr std::int32_t kTofOutOfRange = -1;
-inline constexpr std::int32_t kTofLinearBias = -2;
-}  // namespace detail
 
 /// Everything a plan's table depends on. Two acquisitions with equal keys
 /// can share one plan; the cache hashes and compares this struct directly.
@@ -41,6 +35,10 @@ struct TofPlanKey {
   dsp::Interp interp = dsp::Interp::kLinear;
 
   bool operator==(const TofPlanKey& o) const;
+
+  /// Throws InvalidArgument unless `acq` has the probe geometry, steering
+  /// angle, t0 and RF shape this key was built for.
+  void require_matches(const us::Acquisition& acq) const;
 };
 
 /// Hash for unordered containers keyed on TofPlanKey.
@@ -54,6 +52,43 @@ struct ChannelWorkspace {
   std::vector<float> re;  ///< (n_ch, n_samples) row-major channel data
   std::vector<float> im;  ///< same layout; filled only for analytic frames
 };
+
+/// Re-lays out `acq`'s RF as (n_ch, n_samples) channel lines in `ws.re`
+/// and, when `analytic`, the per-channel analytic signal (real part in
+/// `ws.re`, imaginary in `ws.im`): the per-frame input of every plan.
+void load_channels(const us::Acquisition& acq, bool analytic,
+                   ChannelWorkspace& ws);
+
+namespace detail {
+/// Plan-entry sentinels shared by the encode (build) and gather (apply)
+/// sides — see the idx_ encoding comment on TofPlan.
+inline constexpr std::int32_t kTofOutOfRange = -1;
+inline constexpr std::int32_t kTofLinearBias = -2;
+
+/// The plan key for explicit geometry.
+TofPlanKey make_key(const us::Probe& probe, const us::ImagingGrid& grid,
+                    double steering_angle_rad, double t0,
+                    std::int64_t n_samples, dsp::Interp interp);
+
+/// The per-plan constants of us::two_way_delay for one steered transmit.
+struct PlaneWave {
+  PlaneWave(const us::Probe& probe, double steering_angle_rad);
+  /// Two-way delay [s] from the transmit to pixel (x, z) and back to
+  /// element e.
+  double delay(double x, double z, std::int64_t e) const {
+    return us::two_way_delay(x, z, xs[static_cast<std::size_t>(e)], sin_th,
+                             cos_th, tx_offset, sound_speed);
+  }
+
+  std::vector<double> xs;
+  double sin_th, cos_th, tx_offset, sound_speed;
+};
+
+/// Encodes the fractional sample position `t` (of `n` samples) into one
+/// plan entry, following the idx_ encoding documented on TofPlan.
+void encode_entry(double t, std::int64_t n, dsp::Interp interp,
+                  std::int32_t& idx, float& frac);
+}  // namespace detail
 
 /// Precomputed ToF gather table for one (probe, grid, angle, interp) tuple.
 class TofPlan {

@@ -6,7 +6,7 @@
 #include <cmath>
 #include <complex>
 
-#include "beamform/apodization.hpp"
+#include "us/apodization.hpp"
 #include "beamform/das.hpp"
 #include "beamform/hermitian.hpp"
 #include "beamform/mvdr.hpp"
@@ -20,6 +20,9 @@
 
 namespace tvbf::bf {
 namespace {
+
+using us::Apodization;
+using us::ApodizationParams;
 
 TEST(Apodization, WeightsSumToOne) {
   const us::Probe probe = us::Probe::test_probe(32);

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -142,15 +143,10 @@ float reference_gather(const float* line, std::int32_t idx, float frac,
   return static_cast<float>((1.0 - f) * line[base] + f * line[base + 1]);
 }
 
-class TofGatherTest : public ::testing::TestWithParam<dsp::Interp> {};
-
-TEST_P(TofGatherTest, MatchesSerialReferenceWithAllEncodings) {
-  const dsp::Interp interp = GetParam();
-  Rng rng(6);
-  const std::int64_t nz = 7, nx = 5, nch = 3, nsamples = 64;
-  const Tensor lines_re = random_tensor({nch, nsamples}, rng);
-  const Tensor lines_im = random_tensor({nch, nsamples}, rng);
-  const std::int64_t entries = nz * nx * nch;
+/// A plan table of `entries` entries over lines of `nsamples` samples that
+/// cycles through every encoding: interior, out of range, biased linear.
+std::pair<std::vector<std::int32_t>, std::vector<float>> test_plan_entries(
+    std::int64_t entries, std::int64_t nsamples) {
   std::vector<std::int32_t> idx(static_cast<std::size_t>(entries));
   std::vector<float> frac(static_cast<std::size_t>(entries));
   for (std::int64_t i = 0; i < entries; ++i) {
@@ -170,7 +166,19 @@ TEST_P(TofGatherTest, MatchesSerialReferenceWithAllEncodings) {
         break;
     }
   }
+  return {std::move(idx), std::move(frac)};
+}
 
+class TofGatherTest : public ::testing::TestWithParam<dsp::Interp> {};
+
+TEST_P(TofGatherTest, MatchesSerialReferenceWithAllEncodings) {
+  const dsp::Interp interp = GetParam();
+  Rng rng(6);
+  const std::int64_t nz = 7, nx = 5, nch = 3, nsamples = 64;
+  const Tensor lines_re = random_tensor({nch, nsamples}, rng);
+  const Tensor lines_im = random_tensor({nch, nsamples}, rng);
+  const std::int64_t entries = nz * nx * nch;
+  const auto [idx, frac] = test_plan_entries(entries, nsamples);
   Tensor out_re({nz, nx, nch}), out_im({nz, nx, nch});
   cpu().submit(
       CommandEncoder()
@@ -197,42 +205,84 @@ INSTANTIATE_TEST_SUITE_P(Interps, TofGatherTest,
                          ::testing::Values(dsp::Interp::kLinear,
                                            dsp::Interp::kCubic));
 
-/// Pixel-dependent test weights for DasApplyCmd (stands in for the
-/// apodization callback beamform/ binds).
-struct TestWeights {
-  std::int64_t nch = 0;
+/// Pixel-dependent test weights for DasApplyCmd tables (standing in for
+/// the apodization the DAS plans bake), zero on every third (pixel,
+/// channel) pair so the tables are sparse.
+float test_weight(std::int64_t iz, std::int64_t ix, std::int64_t e) {
+  if ((iz + ix + e) % 3 == 0) return 0.0f;
+  return 1.0f / static_cast<float>(1 + e + (iz + ix) % 3);
+}
 
-  static void fill(const void* ctx, std::int64_t iz, std::int64_t ix,
-                   std::vector<float>& w) {
-    const auto& self = *static_cast<const TestWeights*>(ctx);
-    w.assign(static_cast<std::size_t>(self.nch), 0.0f);
-    for (std::int64_t e = 0; e < self.nch; ++e)
-      w[static_cast<std::size_t>(e)] =
-          1.0f / static_cast<float>(1 + e + (iz + ix) % 3);
+/// A baked DasApplyCmd table over (nz, nx, nch): per pixel, the channels
+/// with a non-zero test weight, ascending, with their ToF entries when
+/// `idx` is given (out-of-range ones included: they gather to 0).
+struct TestTable {
+  std::vector<std::int64_t> offsets{0};
+  std::vector<DasEntry> entries;
+
+  TestTable(std::int64_t nz, std::int64_t nx, std::int64_t nch,
+            const std::vector<std::int32_t>& idx = {},
+            const std::vector<float>& frac = {}) {
+    for (std::int64_t iz = 0; iz < nz; ++iz)
+      for (std::int64_t ix = 0; ix < nx; ++ix) {
+        for (std::int64_t e = 0; e < nch; ++e) {
+          const auto i = static_cast<std::size_t>((iz * nx + ix) * nch + e);
+          DasEntry entry{.channel = static_cast<std::int32_t>(e),
+                         .weight = test_weight(iz, ix, e)};
+          if (!idx.empty()) {
+            entry.idx = idx[i];
+            entry.frac = frac[i];
+          }
+          if (entry.weight != 0.0f) entries.push_back(entry);
+        }
+        offsets.push_back(static_cast<std::int64_t>(entries.size()));
+      }
+  }
+
+  DasApplyCmd cmd(DasApplyCmd::Input input, const float* re, const float* im,
+                  float* out, std::int64_t nz, std::int64_t nx,
+                  std::int64_t nch) const {
+    return DasApplyCmd{.input = input,
+                       .offsets = offsets.data(),
+                       .entries = entries.data(),
+                       .re = re,
+                       .im = im,
+                       .out = out,
+                       .nz = nz,
+                       .nx = nx,
+                       .nch = nch,
+                       .num_entries =
+                           static_cast<std::int64_t>(entries.size())};
   }
 };
+
+/// The dense serial gather-then-sum DAS over a (nz, nx, nch) plane: every
+/// channel, zero weights included, accumulated in double.
+double dense_das(const Tensor& plane, std::int64_t iz, std::int64_t ix) {
+  const std::int64_t nx = plane.dim(1), nch = plane.dim(2);
+  double acc = 0.0;
+  for (std::int64_t e = 0; e < nch; ++e)
+    acc += static_cast<double>(test_weight(iz, ix, e)) *
+           plane.raw()[(iz * nx + ix) * nch + e];
+  return acc;
+}
 
 TEST(CpuDevice, DasApplyRfMatchesSerialReference) {
   Rng rng(7);
   const std::int64_t nz = 9, nx = 6, nch = 4;
   const Tensor re = random_tensor({nz, nx, nch}, rng);
-  const TestWeights ctx{nch};
+  const TestTable table(nz, nx, nch);
+  ASSERT_LT(table.entries.size(), static_cast<std::size_t>(nz * nx * nch));
   Tensor out({nz, nx});
   cpu().submit(CommandEncoder()
-                   .encode(DasApplyCmd{re.raw(), nullptr, out.raw(), nz, nx,
-                                       nch, &ctx, TestWeights::fill})
+                   .encode(table.cmd(DasApplyCmd::Input::kCube, re.raw(),
+                                     nullptr, out.raw(), nz, nx, nch))
                    .finish());
-  std::vector<float> w;
   for (std::int64_t iz = 0; iz < nz; ++iz)
-    for (std::int64_t ix = 0; ix < nx; ++ix) {
-      TestWeights::fill(&ctx, iz, ix, w);
-      double acc = 0.0;
-      for (std::int64_t e = 0; e < nch; ++e)
-        acc += static_cast<double>(w[static_cast<std::size_t>(e)]) *
-               re.raw()[(iz * nx + ix) * nch + e];
-      EXPECT_EQ(out.raw()[iz * nx + ix], static_cast<float>(acc))
+    for (std::int64_t ix = 0; ix < nx; ++ix)
+      EXPECT_EQ(out.raw()[iz * nx + ix],
+                static_cast<float>(dense_das(re, iz, ix)))
           << iz << "," << ix;
-    }
 }
 
 TEST(CpuDevice, DasApplyIqMatchesSerialReference) {
@@ -240,28 +290,70 @@ TEST(CpuDevice, DasApplyIqMatchesSerialReference) {
   const std::int64_t nz = 8, nx = 5, nch = 3;
   const Tensor re = random_tensor({nz, nx, nch}, rng);
   const Tensor im = random_tensor({nz, nx, nch}, rng);
-  const TestWeights ctx{nch};
+  const TestTable table(nz, nx, nch);
   Tensor out({nz, nx, 2});
   cpu().submit(CommandEncoder()
-                   .encode(DasApplyCmd{re.raw(), im.raw(), out.raw(), nz, nx,
-                                       nch, &ctx, TestWeights::fill})
+                   .encode(table.cmd(DasApplyCmd::Input::kCube, re.raw(),
+                                     im.raw(), out.raw(), nz, nx, nch))
                    .finish());
-  std::vector<float> w;
   for (std::int64_t iz = 0; iz < nz; ++iz)
     for (std::int64_t ix = 0; ix < nx; ++ix) {
-      TestWeights::fill(&ctx, iz, ix, w);
-      double acc_re = 0.0, acc_im = 0.0;
-      for (std::int64_t e = 0; e < nch; ++e) {
-        const auto we =
-            static_cast<double>(w[static_cast<std::size_t>(e)]);
-        acc_re += we * re.raw()[(iz * nx + ix) * nch + e];
-        acc_im += we * im.raw()[(iz * nx + ix) * nch + e];
-      }
-      EXPECT_EQ(out.raw()[(iz * nx + ix) * 2], static_cast<float>(acc_re));
+      EXPECT_EQ(out.raw()[(iz * nx + ix) * 2],
+                static_cast<float>(dense_das(re, iz, ix)));
       EXPECT_EQ(out.raw()[(iz * nx + ix) * 2 + 1],
-                static_cast<float>(acc_im));
+                static_cast<float>(dense_das(im, iz, ix)));
     }
 }
+
+class DasApplyLinesTest : public ::testing::TestWithParam<dsp::Interp> {};
+
+// The fused command over channel lines equals TofGatherCmd into a cube
+// followed by the dense sum, for every plan encoding; zero-weight terms are
+// absent from its table.
+TEST_P(DasApplyLinesTest, FusedEqualsGatherThenSum) {
+  const dsp::Interp interp = GetParam();
+  Rng rng(9);
+  const std::int64_t nz = 7, nx = 5, nch = 6, nsamples = 64;
+  const Tensor lines_re = random_tensor({nch, nsamples}, rng);
+  const Tensor lines_im = random_tensor({nch, nsamples}, rng);
+  const auto [idx, frac] = test_plan_entries(nz * nx * nch, nsamples);
+  Tensor cube_re({nz, nx, nch}), cube_im({nz, nx, nch});
+  cpu().submit(
+      CommandEncoder()
+          .encode(TofGatherCmd{idx.data(), frac.data(), lines_re.raw(),
+                               lines_im.raw(), cube_re.raw(), cube_im.raw(),
+                               nz, nx, nch, nsamples, interp})
+          .finish());
+
+  const TestTable table(nz, nx, nch, idx, frac);
+  Tensor rf({nz, nx}), iq({nz, nx, 2});
+  DasApplyCmd rf_cmd = table.cmd(DasApplyCmd::Input::kLines, lines_re.raw(),
+                                 nullptr, rf.raw(), nz, nx, nch);
+  rf_cmd.nsamples = nsamples;
+  rf_cmd.interp = interp;
+  DasApplyCmd iq_cmd = rf_cmd;
+  iq_cmd.im = lines_im.raw();
+  iq_cmd.out = iq.raw();
+  cpu().submit(CommandEncoder().encode(rf_cmd).encode(iq_cmd).finish());
+
+  for (std::int64_t iz = 0; iz < nz; ++iz)
+    for (std::int64_t ix = 0; ix < nx; ++ix) {
+      const auto p = iz * nx + ix;
+      const auto want_re = static_cast<float>(dense_das(cube_re, iz, ix));
+      EXPECT_EQ(rf.raw()[p], want_re) << iz << "," << ix;
+      EXPECT_EQ(iq.raw()[2 * p], want_re);
+      EXPECT_EQ(iq.raw()[2 * p + 1],
+                static_cast<float>(dense_das(cube_im, iz, ix)));
+    }
+  // The cost counts active entries only: taps + the weighted MAC, per plane.
+  const std::int64_t taps = interp == dsp::Interp::kCubic ? 4 : 2;
+  EXPECT_EQ(command_macs(rf_cmd), rf_cmd.num_entries * (taps + 1));
+  EXPECT_EQ(command_macs(iq_cmd), 2 * command_macs(rf_cmd));
+}
+
+INSTANTIATE_TEST_SUITE_P(Interps, DasApplyLinesTest,
+                         ::testing::Values(dsp::Interp::kLinear,
+                                           dsp::Interp::kCubic));
 
 // ---- Routing, stats and probe discipline -----------------------------------
 

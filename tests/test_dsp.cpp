@@ -2,11 +2,14 @@
 // IQ demodulation, log compression, interpolation and windows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/hilbert.hpp"
@@ -258,6 +261,44 @@ TEST(LogCompress, RejectsInvalidInput) {
   EXPECT_THROW(log_compress(neg, 60.0), tvbf::InvalidArgument);
   Tensor ok({1, 1}, std::vector<float>{1.0f});
   EXPECT_THROW(log_compress(ok, -5.0), tvbf::InvalidArgument);
+}
+
+TEST(LogCompress, RowParallelPostprocessIsBitExactAtPoolSizes) {
+  // envelope_iq and log_compress fan rows out over the pool; the peak is a
+  // max of row maxima, so both must equal the serial loops bit for bit.
+  const std::int64_t nz = 97, nx = 33;
+  Rng rng(11);
+  Tensor iq({nz, nx, 2});
+  for (auto& v : iq.data()) v = static_cast<float>(rng.normal());
+  iq.flat(2 * (nz * nx - 1)) = 9.0f;  // the peak sits in the last row
+  Tensor env_ref({nz, nx}), db_ref({nz, nx});
+  float peak = 0.0f;
+  for (std::int64_t p = 0; p < nz * nx; ++p) {
+    const float i = iq.raw()[2 * p], q = iq.raw()[2 * p + 1];
+    env_ref.raw()[p] = std::sqrt(i * i + q * q);
+    peak = std::max(peak, env_ref.raw()[p]);
+  }
+  for (std::int64_t p = 0; p < nz * nx; ++p) {
+    const float v = env_ref.raw()[p];
+    db_ref.raw()[p] = std::clamp(
+        v > 0.0f ? 20.0f * std::log10(v / peak) : -60.0f, -60.0f, 0.0f);
+  }
+  Tensor negative = env_ref;
+  negative.flat(nz * nx - 2) = -1.0f;
+  for (const std::size_t threads : {1u, 4u}) {
+    set_thread_count(threads);
+    const Tensor env = envelope_iq(iq);
+    const Tensor db = log_compress(env, 60.0);
+    EXPECT_EQ(std::memcmp(env.raw(), env_ref.raw(),
+                          env.size() * sizeof(float)),
+              0)
+        << "pool size " << threads;
+    EXPECT_EQ(std::memcmp(db.raw(), db_ref.raw(), db.size() * sizeof(float)),
+              0)
+        << "pool size " << threads;
+    EXPECT_THROW(log_compress(negative, 60.0), tvbf::InvalidArgument);
+  }
+  set_thread_count(0);
 }
 
 TEST(Interpolate, LinearIsExactOnLines) {

@@ -123,9 +123,7 @@ TEST_F(FullPipeline, TrainedTinyVbfApproachesMvdrLabel) {
   // Train briefly on this very scene and verify the prediction moves toward
   // the MVDR label (the paper's training objective).
   models::TrainingFrame frame;
-  us::TofCube in_cube = *rf_cube_;
-  us::normalize_cube(in_cube);
-  frame.input = in_cube.real;
+  frame.input = models::normalized_input(*rf_cube_);
   const bf::MvdrBeamformer mvdr(mvdr_params());
   Tensor label = mvdr.beamform(*iq_cube_);
   const float m = max_abs(label);

@@ -15,6 +15,7 @@
 #include "models/tiny_vbf.hpp"
 #include "models/trainer.hpp"
 #include "tensor/tensor_ops.hpp"
+#include "us/tof.hpp"
 
 namespace tvbf::models {
 namespace {
@@ -235,6 +236,25 @@ TEST_F(ModelPipeline, MakeFrameShapesAndNormalization) {
   EXPECT_FLOAT_EQ(frame.target_rf.at(10, 5), frame.target_iq.at(10, 5, 0));
 }
 
+TEST_F(ModelPipeline, MakeFrameInputIsNormalizedInput) {
+  // The training set normalises exactly as the inference adapters do.
+  const TrainingFrame frame = make_frame(probe_, grid_, phantom_, params_);
+  const us::Acquisition acq = us::simulate_plane_wave(
+      probe_, phantom_, params_.steering_angle_rad, params_.sim);
+  const Tensor want = normalized_input(us::tof_correct(acq, grid_, {}));
+  ASSERT_EQ(frame.input.shape(), want.shape());
+  EXPECT_EQ(std::memcmp(frame.input.raw(), want.raw(),
+                        want.size() * sizeof(float)),
+            0);
+}
+
+TEST_F(ModelPipeline, NormalizedInputBoundsTofData) {
+  const us::Acquisition acq = us::simulate_plane_wave(
+      probe_, us::make_single_point(20e-3), 0.0, params_.sim);
+  const Tensor in = normalized_input(us::tof_correct(acq, grid_, {}));
+  EXPECT_NEAR(max_abs(in), 1.0f, 1e-6);
+}
+
 TEST_F(ModelPipeline, TrainingSetIsDeterministic) {
   const auto set1 = make_training_set(probe_, grid_, 2, params_);
   const auto set2 = make_training_set(probe_, grid_, 2, params_);
@@ -342,6 +362,14 @@ TEST(Adapters, NormalizedInputMatchesSerialReference) {
   us::TofCube cube;
   cube.real = negative;
   EXPECT_EQ(normalized_input(cube).flat(12345), -1.0f);
+}
+
+TEST(Adapters, NormalizedInputOfZeroCubeIsSafe) {
+  us::TofCube cube;
+  cube.real = Tensor({2, 2, 4});
+  const Tensor in = normalized_input(cube);
+  ASSERT_EQ(in.shape(), cube.real.shape());
+  EXPECT_EQ(max_abs(in), 0.0f);
 }
 
 TEST(Adapters, RfToIqPreservesSignalEnvelope) {

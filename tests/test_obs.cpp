@@ -425,6 +425,31 @@ TEST_F(ObsServeTest, ServedRunExportsConnectedFrameChains) {
   EXPECT_NE(json.find("deliver"), std::string::npos);
 }
 
+TEST_F(ObsServeTest, FlightRingHoldsSessionEventsAndNoDeviceNoise) {
+  // Every device submit of the run is timed, yet only session lifecycle
+  // events reach the ring: cost-model calibration stays on /metrics.
+  ASSERT_TRUE(telemetry::enabled());
+  auto& ring = FlightRecorder::instance();
+  ring.record(EventKind::kMark, -1, 0, 0, "served-run");
+  const std::int64_t mark = ring.dump().back().seq;
+  serve::Server server;
+  for (int i = 0; i < 2; ++i)
+    server.add_session({cine(3), das(), pipeline_config(), {}});
+  EXPECT_EQ(server.run().frames, 6);
+
+  int admits = 0, retires = 0;
+  for (const FlightRecorder::Event& e : ring.dump()) {
+    if (e.seq <= mark) continue;
+    admits += e.kind == EventKind::kSessionAdmit;
+    retires += e.kind == EventKind::kSessionRetire;
+    EXPECT_TRUE(e.kind == EventKind::kSessionAdmit ||
+                e.kind == EventKind::kSessionRetire)
+        << event_kind_name(e.kind) << " " << e.detail;
+  }
+  EXPECT_EQ(admits, 2);
+  EXPECT_EQ(retires, 2);
+}
+
 TEST_F(ObsServeTest, WatchdogFiresOnStalledServe) {
   const std::string dump_path =
       ::testing::TempDir() + "tvbf_watchdog_trip.json";

@@ -2,10 +2,13 @@
 // cache, frame sources and the source -> ToF -> beamform -> log pipeline.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
+#include "beamform/compounding.hpp"
 #include "beamform/das.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -178,6 +181,26 @@ TEST_F(PlanCacheTest, DistinctKeysGetDistinctPlans) {
   EXPECT_NE(a.get(), c.get());
   EXPECT_EQ(cache.stats().misses, 3u);
   EXPECT_EQ(cache.stats().entries, 3u);
+}
+
+TEST_F(PlanCacheTest, BakedDasPlansShareByKeyAndApodization) {
+  auto& cache = PlanCache::instance();
+  const us::ApodizationParams boxcar;
+  const us::ApodizationParams hann{.window = dsp::WindowKind::kHann};
+  const auto a = cache.get_das_for(acq_, grid_, dsp::Interp::kLinear, boxcar);
+  const auto b = cache.get_das_for(acq_, grid_, dsp::Interp::kLinear, boxcar);
+  const auto c = cache.get_das_for(acq_, grid_, dsp::Interp::kLinear, hann);
+  EXPECT_EQ(a.get(), b.get());
+  EXPECT_NE(a.get(), c.get());
+  EXPECT_EQ(a->apodization(), boxcar);
+  EXPECT_EQ(c->apodization(), hann);
+  // The dense plan under the same ToF key is a separate entry.
+  const auto dense = cache.get_for(acq_, grid_);
+  const auto s = cache.stats();
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 3u);
+  EXPECT_EQ(s.entries, 3u);
+  EXPECT_EQ(s.bytes, a->bytes() + c->bytes() + dense->bytes());
 }
 
 TEST_F(PlanCacheTest, EvictsLeastRecentlyUsedByBytes) {
@@ -393,6 +416,118 @@ TEST_F(PipelineTest, CinePipelineEndToEnd) {
   EXPECT_EQ(report.plan_cache_hits, 2u);
   // Frames are real images and actually differ (the phantom moved).
   EXPECT_GT(max_abs_diff(frames[0], frames[2]), 0.0f);
+}
+
+// ---- Fused DAS ------------------------------------------------------------
+
+bool bit_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.raw(), b.raw(),
+                     static_cast<std::size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+us::Phantom speckle_with_point(const us::ImagingGrid& grid) {
+  Rng rng(17);
+  us::SpeckleOptions opt;
+  opt.density_per_mm2 = 0.5;
+  us::Phantom ph = us::make_speckle(
+      us::Region{grid.x0, grid.x_end(), grid.z0, grid.z_end()}, opt, rng);
+  ph.scatterers.push_back({0.0, 20e-3, 1.0});
+  return ph;
+}
+
+// (analytic, interp, f-number, window, steering angle)
+using FusedDasCase =
+    std::tuple<bool, dsp::Interp, double, dsp::WindowKind, double>;
+
+class FusedDasTest : public TofPlanTest,
+                     public ::testing::WithParamInterface<FusedDasCase> {};
+
+TEST_P(FusedDasTest, FrameProcessorMatchesTofCorrectThenCubeDas) {
+  const auto [analytic, interp, f_number, window, angle] = GetParam();
+  PlanCache::instance().clear();
+  const us::ApodizationParams apod{.window = window, .f_number = f_number};
+  const auto das = std::make_shared<bf::DasBeamformer>(probe_, apod);
+  PipelineConfig cfg;
+  cfg.grid = grid_;
+  cfg.tof = {.interp = interp, .analytic = analytic};
+  FrameProcessor proc(das, cfg);
+  Frame frame;
+  frame.acq = us::simulate_plane_wave(probe_, speckle_with_point(grid_),
+                                      angle, clean_);
+  const Tensor want = das->beamform(us::tof_correct(frame.acq, grid_,
+                                                    cfg.tof));
+  for (int repeat = 0; repeat < 2; ++repeat)  // cold plan, then cached
+    EXPECT_TRUE(bit_equal(proc.process(frame).iq, want)) << "frame " << repeat;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, FusedDasTest,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(dsp::Interp::kLinear,
+                                         dsp::Interp::kCubic),
+                       ::testing::Values(0.0, 1.75),
+                       ::testing::Values(dsp::WindowKind::kBoxcar,
+                                         dsp::WindowKind::kHann),
+                       ::testing::Values(0.0, 0.2)));
+
+class FusedDasStreamTest : public TofPlanTest {
+ protected:
+  void SetUp() override { PlanCache::instance().clear(); }
+  void TearDown() override { PlanCache::instance().clear(); }
+
+  /// One event as `angles` steered transmits.
+  std::vector<us::Acquisition> steered(std::int64_t angles) const {
+    bf::CompoundingParams p;
+    p.num_angles = angles;
+    p.max_angle_rad = 0.2;
+    std::vector<us::Acquisition> acqs;
+    for (const double a : p.angles())
+      acqs.push_back(us::simulate_plane_wave(
+          probe_, speckle_with_point(grid_), a, clean_));
+    return acqs;
+  }
+};
+
+TEST_F(FusedDasStreamTest, AllocatesNoCubeAndNoDensePlan) {
+  const auto acqs = steered(3);
+  PipelineConfig cfg;
+  cfg.grid = grid_;
+  FrameProcessor proc(std::make_shared<bf::DasBeamformer>(probe_), cfg);
+  Frame frame;
+  frame.acq = acqs[0];
+  frame.extra = {acqs[1], acqs[2]};
+  for (int i = 0; i < 2; ++i) proc.process(frame);
+  const auto arena = proc.arena_stats();
+  EXPECT_EQ(arena.allocations + arena.reuses, 0u);
+  EXPECT_TRUE(proc.compound().real.empty());
+  // The cache holds exactly the three baked plans, no dense ToF plan.
+  std::size_t das_bytes = 0;
+  for (const auto& acq : acqs)
+    das_bytes += PlanCache::instance()
+                     .get_das_for(acq, grid_, dsp::Interp::kLinear, {})
+                     ->bytes();
+  EXPECT_EQ(PlanCache::instance().stats().entries, 3u);
+  EXPECT_EQ(PlanCache::instance().stats().bytes, das_bytes);
+}
+
+TEST_F(FusedDasStreamTest, CompoundedPipelineMatchesCompoundAcquisitions) {
+  const auto acqs = steered(3);
+  for (const bool analytic : {false, true}) {
+    bf::CompoundingParams params;
+    params.tof.analytic = analytic;
+    PipelineConfig cfg;
+    cfg.grid = grid_;
+    cfg.tof = params.tof;
+    Pipeline pipeline(std::make_shared<ReplaySource>(acqs, 2, 30.0, 3),
+                      std::make_shared<bf::DasBeamformer>(probe_), cfg);
+    std::vector<Tensor> frames;
+    pipeline.run([&](const FrameOutput& out) { frames.push_back(out.iq); });
+    const Tensor want = bf::compound_acquisitions(acqs, grid_, params);
+    ASSERT_EQ(frames.size(), 2u);
+    for (const Tensor& iq : frames)
+      EXPECT_TRUE(bit_equal(iq, want)) << "analytic " << analytic;
+  }
 }
 
 }  // namespace

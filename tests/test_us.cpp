@@ -393,24 +393,6 @@ TEST_F(TofTest, CubicInterpolationCloseToLinear) {
   EXPECT_GT(scale, 0.0f);
 }
 
-TEST_F(TofTest, NormalizeCubeBoundsData) {
-  const Phantom ph = make_single_point(20e-3);
-  const Acquisition acq = simulate_plane_wave(probe_, ph, 0.0, clean_);
-  TofCube cube = tof_correct(acq, grid_, {.analytic = true});
-  const float scale = normalize_cube(cube);
-  EXPECT_GT(scale, 0.0f);
-  EXPECT_LE(max_abs(cube.real), 1.0f);
-  EXPECT_LE(max_abs(cube.imag), 1.0f);
-  const float peak = std::max(max_abs(cube.real), max_abs(cube.imag));
-  EXPECT_NEAR(peak, 1.0f, 1e-6);
-}
-
-TEST_F(TofTest, NormalizeZeroCubeIsSafe) {
-  TofCube cube;
-  cube.real = Tensor({2, 2, 4});
-  EXPECT_FLOAT_EQ(normalize_cube(cube), 0.0f);
-}
-
 TEST_F(TofTest, RejectsEmptyAcquisition) {
   Acquisition acq;
   acq.probe = probe_;
